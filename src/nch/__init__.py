@@ -49,9 +49,7 @@ from .stepper import (
     StepState,
     advance,
     etd1_predict,
-    etd1_step,
     etdrk2_predict,
-    etdrk2_step,
     new_state,
     p_etd1_step,
     p_etdrk2_step,

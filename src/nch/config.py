@@ -7,6 +7,7 @@ trips exactly (floats are rendered with repr, which preserves doubles).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 
@@ -15,6 +16,21 @@ from .grid import ModelParams
 
 SCHEMES = ("etd1", "etdrk2", "p-etd1", "p-etdrk2")
 MASS_TARGETS = ("predictor", "initial")
+
+
+def step_count(T: float, tau: float) -> int:
+    """Number of steps of size tau that end exactly at time T.
+
+    Raises ValueError unless T/tau is a whole number to 1e-9 relative, so a
+    horizon between two steps is refused rather than rounded to one of them.
+    """
+    ratio = T / tau
+    if not (math.isfinite(ratio) and math.isclose(ratio, round(ratio), rel_tol=1e-9)):
+        raise ValueError(
+            f"time {T} is not a whole number of steps of tau={tau} ({ratio:g} steps)"
+        )
+    return round(ratio)
+
 
 _INITIAL_RE = re.compile(r"^\s*(sine|random)\s*\(([^)]*)\)\s*$")
 

@@ -9,16 +9,29 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
 
+from .config import step_count
 from .grid import Grid, ModelParams
-from .stepper import advance, random_initial, sine_initial, thread_budget
+from .stepper import advance, random_initial, sine_initial
 
 Array = np.ndarray
+
+
+def thread_budget() -> int:
+    """Data-parallel width cap from NCH_THREADS; defaults to the CPU count."""
+    raw = os.environ.get("NCH_THREADS", "").strip()
+    if raw:
+        value = int(raw)
+        if value < 1:
+            raise ValueError(f"NCH_THREADS must be >= 1, got {value}")
+        return value
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -68,11 +81,11 @@ def convergence_study(
         )
     grid = params.grid()
     u0 = sine_initial(grid, amplitude)
+    steps = {tau: step_count(T_final, tau) for tau in (benchmark_tau, *tau_list)}
 
     def final_field(run_scheme: str, tau: float) -> Array:
-        n_steps = int(round(T_final / tau))
         state, _, status = advance(
-            u0, replace(params, tau=tau), run_scheme, n_steps, mass_target=mass_target
+            u0, replace(params, tau=tau), run_scheme, steps[tau], mass_target=mass_target
         )
         if status != "ok":
             raise RuntimeError(
@@ -200,7 +213,7 @@ def _sweep_one(args) -> StructureCount:
     params, scheme, T_final, seed, offset, amplitude, threshold, mass_target = args
     grid = params.grid()
     u0 = random_initial(grid, offset, amplitude, seed)
-    n_steps = int(round(T_final / params.tau))
+    n_steps = step_count(T_final, params.tau)
     state, _, status = advance(u0, params, scheme, n_steps, mass_target=mass_target)
     if status != "ok":
         raise RuntimeError(f"sweep run at sigma={params.sigma} ended with {status}")

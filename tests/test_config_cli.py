@@ -118,6 +118,30 @@ class TestCli:
         grid, _, _ = read_snapshot(out / "snapshot_t0.02.grid")
         assert grid.M == 8
 
+    @pytest.mark.parametrize(
+        "times", [["--T_final=0.15"], ["--T_final=0.2", "--snapshot_times=0.05"]]
+    )
+    def test_run_refuses_times_between_steps(self, tmp_path, capsys, times):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "o"
+        cfg.write_text("M = 8\ntau = 0.1\ninitial = sine(0.1)\n")
+        assert main(["run", str(cfg), f"--output_dir={out}", *times]) == 2
+        assert "whole number of steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_accepts_a_whole_multiple_of_tau(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "o"
+        cfg.write_text(
+            "M = 8\ntau = 0.1\nT_final = 100\ninitial = sine(0.1)\n"
+            f"snapshot_times = 100\noutput_dir = {out}\n"
+        )
+        assert main(["run", str(cfg)]) == 0
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert len(rows) == 1 + 1001
+        assert rows[-1].startswith("1000,100,")
+        assert read_snapshot(out / "snapshot_t100.grid")[2] == 100.0
+
     def test_config_errors_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("theta = 2.0\ntheta_c = 1.0\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nch import ModelParams, SimulationConfig, parse_config
+from nch.experiments import thread_budget
 from nch.operators import apply_phi, nonlinear_F, operator_eigenvalues, phi0, phi1
 from nch.stepper import (
     advance,
@@ -13,7 +14,6 @@ from nch.stepper import (
     random_initial,
     run,
     sine_initial,
-    thread_budget,
 )
 from oracles import gauss_legendre_exponential_integral
 
@@ -147,6 +147,33 @@ class TestClassicSteps:
             assert diagnostics[-1].status == "blowup"
             assert diagnostics[-1].sup_norm >= 1.0
             assert state.step_index < 1000
+
+    @staticmethod
+    def _etdrk2_blowup(M, seed):
+        params = ModelParams(
+            epsilon=0.02, theta=0.8, theta_c=1.6, delta=0.05, kappa=2.0, sigma=30.0,
+            M=M, tau=0.1,
+        )
+        u0 = random_initial(params.grid(), 0.2, 0.05, seed)
+        states = []
+        state, _, status = advance(
+            u0, params, "etdrk2", 1000, on_step=lambda s, d: states.append(s)
+        )
+        assert status == "blowup"
+        assert state.step_index == 12
+        return params, states[-2], state
+
+    def test_etdrk2_midpoint_blowup_records_the_midpoint(self):
+        params, prev, state = self._etdrk2_blowup(16, 2)
+        u_mid = etd1_predict(prev, params)
+        assert np.max(np.abs(u_mid)) >= 1.0
+        assert np.array_equal(state.u, u_mid)
+
+    def test_etdrk2_final_stage_blowup_records_the_final_prediction(self):
+        params, prev, state = self._etdrk2_blowup(8, 1)
+        u_mid = etd1_predict(prev, params)
+        assert np.max(np.abs(u_mid)) < 1.0
+        assert np.array_equal(state.u, etdrk2_predict(prev, u_mid, params))
 
     def test_projected_variants_survive_the_same_scenario(self):
         params = ModelParams(
