@@ -19,6 +19,7 @@ from .errors import (
     BoundViolationError,
     ConfigError,
     InfeasibleMassError,
+    NonFiniteFieldError,
     ProjectionConvergenceError,
 )
 from .grid import read_snapshot
@@ -29,7 +30,12 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_BLOWUP = 4
 
-_SOLVER_ERRORS = (BoundViolationError, InfeasibleMassError, ProjectionConvergenceError)
+_SOLVER_ERRORS = (
+    BoundViolationError,
+    InfeasibleMassError,
+    NonFiniteFieldError,
+    ProjectionConvergenceError,
+)
 
 
 def _split_overrides(argv: list[str]) -> tuple[list[str], dict[str, str]]:

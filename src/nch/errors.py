@@ -9,6 +9,10 @@ class InfeasibleMassError(ValueError):
     """Requested mean cannot be met by any field within the sup-norm bound."""
 
 
+class NonFiniteFieldError(ValueError):
+    """A predicted field or its target mass holds a NaN or an infinity."""
+
+
 class ProjectionConvergenceError(RuntimeError):
     """Scalar multiplier iteration stopped above tolerance."""
 

@@ -8,7 +8,10 @@ All operations here are pure and leave their inputs untouched.
 DFT convention, fixed once for the whole package: unnormalized forward
 transform, 1/M^2-scaled inverse (numpy's default), so the (0, 0) coefficient
 of a field equals M^2 times its mean and Parseval reads
-h^2 sum|v|^2 = (L^2/M^4) sum|v_hat|^2.
+h^2 sum|v|^2 = (L^2/M^4) sum|v_hat|^2.  The operators use the half spectrum
+of this transform (numpy's rfft2 / irfft2, modes l <= M//2): a real field's
+other modes are the complex conjugates of these, so in Parseval each mode
+0 < l < M/2 stands for two.
 """
 
 from __future__ import annotations
@@ -155,6 +158,10 @@ class ModelParams:
     tau: float = 1e-4
 
     def __post_init__(self) -> None:
+        for name in ("epsilon", "theta", "theta_c", "sigma", "kappa", "L", "tau"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0 < self.theta < self.theta_c:

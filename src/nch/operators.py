@@ -8,6 +8,11 @@ is diagonalized by the 2-D DFT because the periodic five-point Laplacian is.
 Every function of it therefore acts as a per-mode multiplication; the dense
 M^2 x M^2 matrix is never formed (O(M^2 log M) per application instead of
 O(M^4)).
+
+Fields are real and every per-mode table is symmetric under mode negation
+(k, l) -> (M-k, M-l), so the operators work on the half spectrum: a
+real-to-complex rfft2 / irfft2 pair over the M x (M//2+1) modes l <= M//2.
+The phi tables are stored at that shape.
 """
 
 from __future__ import annotations
@@ -113,11 +118,11 @@ def operator_eigenvalues(params: ModelParams, symbol: Array | None = None) -> Ar
 class PhiTable:
     """Per-mode phi kernels evaluated at tau * ell, ready for apply_phi.
 
-    ell holds the eigenvalues of the stiff linear operator; phi1m2 is the
-    entrywise difference phi1 - phi2 used by the second-order predictor.
+    Every column holds the half spectrum, shape (M, M//2+1).  ell holds the
+    eigenvalues of the stiff linear operator; phi1m2 is the entrywise
+    difference phi1 - phi2 used by the second-order predictor.
     """
 
-    tau: float
     ell: Array
     phi0: Array
     phi1: Array
@@ -125,38 +130,37 @@ class PhiTable:
     phi1m2: Array
 
 
-def build_phi_table(params: ModelParams, symbol: Array | None = None) -> PhiTable:
-    ell = operator_eigenvalues(params, symbol)
+def build_phi_table(params: ModelParams) -> PhiTable:
+    half_symbol = laplace_symbol(params.grid())[:, : params.M // 2 + 1]
+    ell = operator_eigenvalues(params, half_symbol)
     a = params.tau * ell
     p0, p1, p2 = phi0(a), phi1(a), phi2(a)
-    return PhiTable(tau=params.tau, ell=ell, phi0=p0, phi1=p1, phi2=p2, phi1m2=p1 - p2)
+    return PhiTable(ell=ell, phi0=p0, phi1=p1, phi2=p2, phi1m2=p1 - p2)
 
 
 def apply_phi(v: Array, column: Array) -> Array:
     """Apply a diagonal-in-Fourier operator: IDFT(column * DFT(v)).
 
-    column is one per-mode real table (e.g. a PhiTable column).  A table
-    symmetric under (k, l) -> (M-k, M-l) maps real fields to real fields; the
-    roundoff imaginary residue is checked against 1e-11 (relative to the
-    output magnitude for large fields) and discarded.
+    column is one real per-mode table symmetric under mode negation, given
+    either on the half spectrum, shape (M, M//2+1) like a PhiTable column,
+    or on the full (M, M) spectrum, whose first M//2+1 columns are used.
+    Costs one real-to-complex transform pair.
     """
     v = np.asarray(v, dtype=float)
     column = np.asarray(column, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"expected a square field, got shape {v.shape}")
-    if column.shape != v.shape:
+    M = v.shape[0]
+    if column.shape == v.shape:
+        column = column[:, : M // 2 + 1]
+    elif column.shape != (M, M // 2 + 1):
         raise ValueError(
-            f"table shape {column.shape} does not match field shape {v.shape}"
+            f"table shape {column.shape} matches neither the field shape {v.shape} "
+            f"nor its half spectrum {(M, M // 2 + 1)}"
         )
-    out = np.fft.ifft2(column * np.fft.fft2(v))
-    real = np.ascontiguousarray(out.real)
-    residue = float(np.max(np.abs(out.imag)))
-    if residue > 1e-11 * max(1.0, float(np.max(np.abs(real)))):
-        raise ValueError(
-            f"imaginary residue {residue:.3e} after inverse transform; "
-            "table is not symmetric under mode negation"
-        )
-    return real
+    spectrum = np.fft.rfft2(v)
+    spectrum *= column
+    return np.fft.irfft2(spectrum, s=v.shape)
 
 
 def _require_inside_bound(u: Array, limit: float, strict: bool) -> None:
@@ -178,9 +182,21 @@ def nonlinear_F(u: Array, params: ModelParams) -> Array:
     grid = params.grid()
     u = grid.check(u)
     _require_inside_bound(u, 1.0, strict=True)
-    chem = 0.5 * params.theta * (np.log1p(u) - np.log1p(-u))
+    chem = params.theta * np.arctanh(u)
     chem -= (params.theta_c + params.kappa) * u
     return grid.laplace(chem) + params.sigma * grid.mean(u)
+
+
+@lru_cache(maxsize=16)
+def _nonlocal_weights_cached(M: int, L: float) -> Array:
+    # 1/(-d) on the half spectrum, 0 at the zero mode; the columns 1 ..
+    # ceil(M/2)-1 stand for their mirror images too, so they count twice
+    d = _symbol_cached(M, L)[:, : M // 2 + 1]
+    w = np.zeros_like(d)
+    np.divide(-1.0, d, out=w, where=d < 0)
+    w[:, 1 : (M + 1) // 2] *= 2.0
+    w.flags.writeable = False
+    return w
 
 
 def energy(u: Array, params: ModelParams) -> float:
@@ -190,8 +206,10 @@ def energy(u: Array, params: ModelParams) -> float:
     gradient for the interface term, and the nonlocal term evaluated
     spectrally as sum_{(k,l) != (0,0)} |u_hat|^2 / (-d_kl) scaled per the
     package Parseval convention (the zero mode carries u - mean(u) = 0, so
-    excluding it realizes the inverse Laplacian on mean-free fields).
-    Entries at exactly +-1 are admitted through the x ln x -> 0 limit.
+    excluding it realizes the inverse Laplacian on mean-free fields).  The
+    sum runs over the half spectrum of one rfft2, each interior column
+    weighted twice for its mirror image.  Entries at exactly +-1 are
+    admitted through the x ln x -> 0 limit.
     """
     grid = params.grid()
     u = grid.check(u)
@@ -206,11 +224,9 @@ def energy(u: Array, params: ModelParams) -> float:
     gx, gy = grid.gradient(u)
     interface = 0.5 * params.epsilon**2 * (grid.inner(gx, gx) + grid.inner(gy, gy))
 
-    d = laplace_symbol(grid)
-    power = np.abs(np.fft.fft2(u)) ** 2
-    power = power.copy()
-    power[0, 0] = 0.0
-    ratio = power / np.where(d < 0, -d, 1.0)
-    nonlocal_sq = (grid.L**2 / grid.M**4) * float(np.sum(ratio))
+    spectrum = np.fft.rfft2(u)
+    power = spectrum.real**2 + spectrum.imag**2
+    weighted = float(np.sum(power * _nonlocal_weights_cached(grid.M, grid.L)))
+    nonlocal_sq = (grid.L**2 / grid.M**4) * weighted
 
     return bulk + interface + 0.5 * params.sigma * nonlocal_sq

@@ -12,11 +12,12 @@ downstream checks:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleMassError, ProjectionConvergenceError
+from .errors import InfeasibleMassError, NonFiniteFieldError, ProjectionConvergenceError
 from .grid import Grid
 
 Array = np.ndarray
@@ -96,7 +97,8 @@ def solve_xi(
     a stepper), safeguarded by a bracket built from the saturation shifts:
     whenever a secant step leaves the bracket or its denominator underflows,
     the bracket is bisected instead.  The residual is piecewise linear, so
-    the bracket never loses the root.
+    the bracket never loses the root.  A NaN or infinite entry of utilde or
+    target mass raises NonFiniteFieldError before any iteration.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -105,16 +107,29 @@ def solve_xi(
     bound = 1.0 - delta
     if tol is None:
         tol = 1e-13 * grid.area
+    utilde = grid.check(utilde)
+
+    def residual(x: float) -> float:
+        return mass_residual(grid, utilde, x, delta, target_mass)
+
+    # The xi = 0 probe is NaN or infinite whenever the target or an entry
+    # of utilde is NaN, or the target is infinite; an infinite entry shows
+    # in the saturation shifts.  Both are needed below anyway.
+    f_zero = residual(0.0)
+    # all-clamped-low / all-clamped-high shifts bracket every root
+    lo = -bound - float(np.max(utilde))
+    hi = bound - float(np.min(utilde))
+    if not (math.isfinite(f_zero) and math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteFieldError(
+            f"predicted field or target mass {target_mass} is not finite "
+            f"(mass residual at xi = 0: {f_zero})"
+        )
     saturation = grid.area * bound
     if not -saturation < target_mass < saturation:
         raise InfeasibleMassError(
             f"target mass {target_mass} is outside the feasible interval "
             f"(-{saturation}, {saturation})"
         )
-    utilde = grid.check(utilde)
-
-    def residual(x: float) -> float:
-        return mass_residual(grid, utilde, x, delta, target_mass)
 
     def polished(xi: float, f: float, iterations: int) -> tuple[float, int, float]:
         # The residual is linear on the segment of the current clamp pattern
@@ -134,11 +149,7 @@ def solve_xi(
             return candidate, iterations + 1, f_candidate
         return xi, iterations + 1, f
 
-    # all-clamped-low / all-clamped-high shifts bracket every root
-    lo = -bound - float(np.max(utilde))
-    hi = bound - float(np.min(utilde))
-
-    xi_prev, f_prev = 0.0, residual(0.0)
+    xi_prev, f_prev = 0.0, f_zero
     if abs(f_prev) <= tol:
         return polished(0.0, f_prev, 0)
     if f_prev > 0.0:

@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
+from scipy.special import xlogy
 
 
 def phi_series_fraction(a: Fraction, shift: int, terms: int = 30) -> float:
@@ -101,3 +102,42 @@ def gauss_legendre_exponential_integral(ell, tau, nodes=64):
     for sk, wk in zip(s, weights):
         out += wk * np.exp(-(tau - sk) * ell)
     return out
+
+
+def closed_form_symbol(M, L):
+    """Five-point Laplacian symbol on the full spectrum, from its formula."""
+    h = L / M
+    s = np.sin(np.pi * np.arange(M) / M) ** 2
+    return -(4.0 / (h * h)) * (s[:, None] + s[None, :])
+
+
+def complex_apply_phi(v, column):
+    """IDFT(column * DFT(v)) through the complex full-spectrum fft2/ifft2
+    pair, for a full (M, M) column; the imaginary residue must be roundoff."""
+    out = np.fft.ifft2(np.asarray(column, dtype=float) * np.fft.fft2(v))
+    assert np.max(np.abs(out.imag)) <= 1e-11 * max(1.0, np.max(np.abs(out.real)))
+    return out.real
+
+
+def full_spectrum_nonlocal(u, L):
+    """(L^2/M^4) sum_{(k,l) != (0,0)} |u_hat|^2 / (-d_kl) over all M^2 modes
+    of the complex fft2, i.e. -<Lap_h^{-1}(u - mean u), u - mean u>."""
+    M = u.shape[0]
+    d = closed_form_symbol(M, L)
+    d[0, 0] = -1.0
+    power = np.abs(np.fft.fft2(u)) ** 2
+    power[0, 0] = 0.0
+    return (L**2 / M**4) * float(np.sum(power / -d))
+
+
+def full_spectrum_energy(u, params):
+    """Discrete free energy with its nonlocal term summed on the full spectrum."""
+    h = params.L / params.M
+    up, um = 1.0 + u, 1.0 - u
+    entropy = xlogy(up, up) + xlogy(um, um)
+    bulk = h * h * np.sum(0.5 * params.theta * entropy - 0.5 * params.theta_c * u * u)
+    gx = np.roll(u, -1, axis=0) - u
+    gy = np.roll(u, -1, axis=1) - u
+    interface = 0.5 * params.epsilon**2 * np.sum(gx * gx + gy * gy)
+    nonlocal_sq = full_spectrum_nonlocal(u, params.L)
+    return float(bulk + interface + 0.5 * params.sigma * nonlocal_sq)

@@ -151,6 +151,14 @@ class TestCli:
         good.write_text("M = 8\n")
         assert main(["run", str(good), "--bogus=1"]) == 2
 
+    @pytest.mark.parametrize("key", ["theta_c", "sigma", "tau", "L", "epsilon"])
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, key):
+        cfg = REPO / "configs" / "comparison.cfg"
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), f"--{key}=inf", f"--output_dir={out}"]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blowup_exits_4(self, tmp_path):
         cfg = tmp_path / "blow.cfg"
         cfg.write_text(

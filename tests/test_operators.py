@@ -19,7 +19,12 @@ from nch import (
     phi2,
 )
 from nch.errors import BoundViolationError
-from oracles import phi_series_fraction
+from nch.stepper import advance, random_initial
+from oracles import (
+    complex_apply_phi,
+    full_spectrum_energy,
+    phi_series_fraction,
+)
 
 # 60-digit evaluations of the closed forms, frozen before the implementation
 # was written.
@@ -170,7 +175,53 @@ class TestPhiTable:
             assert np.all(column > 0.0) and np.all(column <= 1.0)
 
 
+def symmetric_table(rng, M):
+    """Random full-spectrum table symmetric under (k, l) -> (M-k, M-l)."""
+    t = rng.uniform(0.0, 1.0, (M, M))
+    neg = -np.arange(M) % M
+    return 0.5 * (t + t[np.ix_(neg, neg)])
+
+
 class TestApplyPhi:
+    @pytest.mark.parametrize("M", [1, 2, 3, 8, 15, 16, 33])
+    def test_half_and_full_columns_match_the_complex_pair(self, M):
+        rng = np.random.default_rng(M)
+        v = rng.uniform(-1.0, 1.0, (M, M))
+        full = symmetric_table(rng, M)
+        reference = complex_apply_phi(v, full)
+        for column in (full, full[:, : M // 2 + 1]):
+            out = apply_phi(v, column)
+            assert out.shape == (M, M)
+            assert np.max(np.abs(out - reference)) <= 1e-14 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("M", [1, 2, 7, 16])
+    def test_phi_table_holds_the_half_spectrum(self, M):
+        params = ModelParams(M=M, tau=1e-3)
+        table = build_phi_table(params)
+        full = params.tau * operator_eigenvalues(params)
+        for column, fn in ((table.phi0, phi0), (table.phi1, phi1), (table.phi2, phi2)):
+            assert column.shape == (M, M // 2 + 1)
+            assert np.array_equal(column, fn(full)[:, : M // 2 + 1])
+
+    def test_one_etdrk2_step_runs_four_real_pairs(self, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            original = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2"):
+            monkeypatch.setattr(np.fft, name, counted(name))
+        params = ModelParams(M=16, tau=0.1)
+        u0 = random_initial(params.grid(), 0.2, 0.05, 1)
+        advance(u0, params, "p-etdrk2", 1)
+        assert calls == {"rfft2": 4, "irfft2": 4}
+
     def test_identity_table(self):
         rng = np.random.default_rng(3)
         v = rng.uniform(-1, 1, (32, 32))
@@ -196,9 +247,11 @@ class TestApplyPhi:
         v = rng.uniform(-1, 1, (8, 8))
         assert np.max(np.abs(apply_phi(v, table.phi0) - v)) < 1e-9
 
-    def test_shape_mismatch_rejected(self):
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 4), (8, 6), (5, 8)])
+    def test_shape_mismatch_rejected(self, shape):
+        # (8, 4) is a half spectrum without its Nyquist column
         with pytest.raises(ValueError, match="shape"):
-            apply_phi(np.ones((8, 8)), np.ones((4, 4)))
+            apply_phi(np.ones((8, 8)), np.ones(shape))
 
 
 class TestNonlinearF:
@@ -295,3 +348,15 @@ class TestEnergy:
     def test_bound_violation_rejected(self):
         with pytest.raises(BoundViolationError):
             energy(np.full((8, 8), 1.0 + 1e-12), ModelParams(M=8))
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 15, 16, 33])
+    def test_matches_the_full_spectrum_sum(self, M):
+        # only even M has a Nyquist column, which the half spectrum counts
+        # once; the alternating field lives on it
+        params = ModelParams(M=M, L=1.7, sigma=300.0)
+        rng = np.random.default_rng(M)
+        for u in (0.9 * rng.uniform(-1.0, 1.0, (M, M)), 0.5 * (-1.0) ** np.arange(M)):
+            u = np.broadcast_to(u, (M, M))
+            assert energy(u, params) == pytest.approx(
+                full_spectrum_energy(u, params), rel=1e-13
+            )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nch import Grid, clamp_with_multiplier, mass_residual, project, solve_xi
-from nch.errors import InfeasibleMassError, ProjectionConvergenceError
+from nch.errors import InfeasibleMassError, NonFiniteFieldError, ProjectionConvergenceError
 from oracles import bisect_xi, feasible_fields
 
 DELTA = 0.05
@@ -132,6 +132,15 @@ class TestSolveXi:
         grid = Grid(4)
         with pytest.raises(InfeasibleMassError):
             solve_xi(grid, np.zeros((4, 4)), DELTA, grid.area)
+
+    @pytest.mark.parametrize("target", [None, 0.1])
+    def test_nan_entry_is_named_for_both_mass_targets(self, target):
+        # None is the predictor's own (NaN) mass; 0.1 a finite initial mass
+        grid = Grid(8)
+        u = np.zeros((8, 8))
+        u[2, 5] = np.nan
+        with pytest.raises(NonFiniteFieldError):
+            project(grid, u, DELTA, target_mass=target)
 
     def test_iteration_budget_exhaustion_reports_residual(self):
         grid = Grid(4)

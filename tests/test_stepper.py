@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nch import ModelParams, SimulationConfig, parse_config
 from nch.experiments import thread_budget
@@ -132,6 +134,53 @@ class TestProjectedSteps:
         assert state.t == pytest.approx(10.0, rel=1e-12)
         assert all(np.isfinite(d.energy) for d in diagnostics)
         assert all(d.step == i for i, d in enumerate(diagnostics))
+
+
+@given(
+    M=st.sampled_from([4, 7, 8, 16, 31, 32]),
+    tau=st.floats(1e-5, 3.0),
+    epsilon=st.floats(0.005, 0.1),
+    theta=st.floats(0.1, 1.5),
+    theta_ratio=st.floats(1.01, 4.0),
+    sigma=st.floats(0.1, 100.0),
+    kappa=st.floats(0.0, 3.0),
+    delta=st.floats(0.01, 0.5),
+    L=st.floats(0.5, 4.0),
+    offset=st.floats(-0.9, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+    scheme=st.sampled_from(["p-etd1", "p-etdrk2"]),
+    mass_target=st.sampled_from(["predictor", "initial"]),
+)
+@settings(max_examples=50, deadline=None)
+def test_projected_steps_keep_the_bound_and_the_mass(
+    M, tau, epsilon, theta, theta_ratio, sigma, kappa, delta, L, offset, seed,
+    scheme, mass_target,
+):
+    params = ModelParams(
+        epsilon=epsilon, theta=theta, theta_c=theta * theta_ratio, sigma=sigma,
+        kappa=kappa, delta=delta, L=L, M=M, tau=tau,
+    )
+    bound = params.bound
+    rng = np.random.default_rng(seed)
+    spread = (1.0 - abs(offset)) * rng.uniform(-1.0, 1.0, (M, M))
+    u0 = np.clip(bound * (offset + spread), -bound, bound)
+    steps = 3
+    # mass_target = initial pins the mass to the projection tolerance.  The
+    # predictor target keeps the predictor's mass, which carries the roundoff
+    # of the spectral sum of F: its Laplacian part sums to zero only in exact
+    # arithmetic, so each step may add about eps * tau * h^2 sum|F|,
+    # whatever the area.
+    slack = 1e-12 * L * L
+    if mass_target == "predictor":
+        forcing = params.grid().mass(np.abs(nonlinear_F(u0, params)))
+        slack += steps * np.finfo(float).eps * tau * forcing
+    _, diagnostics, status = advance(
+        u0, params, scheme, steps, mass_target=mass_target, collect=True
+    )
+    assert status == "ok"
+    for d in diagnostics:
+        assert d.sup_norm <= bound
+        assert abs(d.mass_increment) <= slack
 
 
 class TestClassicSteps:
