@@ -20,11 +20,7 @@ from nch import (
 )
 from nch.errors import BoundViolationError
 from nch.stepper import advance, random_initial
-from oracles import (
-    complex_apply_phi,
-    full_spectrum_energy,
-    phi_series_fraction,
-)
+from oracles import complex_apply_phi, full_spectrum_energy, phi_series_fraction
 
 # 60-digit evaluations of the closed forms, frozen before the implementation
 # was written.
@@ -247,11 +243,11 @@ class TestApplyPhi:
         v = rng.uniform(-1, 1, (8, 8))
         assert np.max(np.abs(apply_phi(v, table.phi0) - v)) < 1e-9
 
-    @pytest.mark.parametrize("shape", [(4, 4), (8, 4), (8, 6), (5, 8)])
-    def test_shape_mismatch_rejected(self, shape):
+    def test_shape_mismatch_rejected(self):
         # (8, 4) is a half spectrum without its Nyquist column
-        with pytest.raises(ValueError, match="shape"):
-            apply_phi(np.ones((8, 8)), np.ones(shape))
+        for shape in [(4, 4), (8, 4), (8, 6), (5, 8)]:
+            with pytest.raises(ValueError, match="shape"):
+                apply_phi(np.ones((8, 8)), np.ones(shape))
 
 
 class TestNonlinearF:
