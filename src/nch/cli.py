@@ -15,13 +15,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from . import experiments
-from .errors import (
-    BoundViolationError,
-    ConfigError,
-    InfeasibleMassError,
-    NonFiniteFieldError,
-    ProjectionConvergenceError,
-)
+from .errors import SolverError
 from .grid import read_snapshot
 from .stepper import run
 
@@ -30,20 +24,13 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_BLOWUP = 4
 
-_SOLVER_ERRORS = (
-    BoundViolationError,
-    InfeasibleMassError,
-    NonFiniteFieldError,
-    ProjectionConvergenceError,
-)
-
 
 def _split_overrides(argv: list[str]) -> tuple[list[str], dict[str, str]]:
     rest, overrides = [], {}
     for arg in argv:
         if arg.startswith("--") and "=" in arg:
             key, value = arg[2:].split("=", 1)
-            if key in config_mod._KNOWN_KEYS:
+            if key in config_mod.CONFIG_KEYS:
                 overrides[key] = value
                 continue
         rest.append(arg)
@@ -85,7 +72,7 @@ def _cmd_converge(args, overrides) -> int:
         T_final=cfg.T_final,
         amplitude=args.amplitude,
         benchmark_scheme=args.benchmark_scheme,
-        mass_target=cfg.mass_target,
+        **cfg.projection_options(),
     )
     table = experiments.format_convergence_table(report)
     print(table, end="")
@@ -114,7 +101,7 @@ def _cmd_sweep(args, overrides) -> int:
         offset=offset,
         amplitude=amplitude,
         threshold=cfg.structure_threshold,
-        mass_target=cfg.mass_target,
+        **cfg.projection_options(),
     )
     for r in results:
         print(f"sigma={r.sigma:g}: {r.count} structures at t={r.final_time:g}")
@@ -187,17 +174,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, overrides)
         return _cmd_count(args)
-    except ConfigError as exc:
-        print(f"nch: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"nch: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _SOLVER_ERRORS as exc:
+    except SolverError as exc:
         print(f"nch: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
-        # invalid flag values (bad scheme/tau-list/...) surface here
+    except (ValueError, FileNotFoundError) as exc:
+        # config errors, missing files and bad flag values (scheme, tau list, ...)
         print(f"nch: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,8 +1,9 @@
 """Plain key=value configuration: parsing, validation, rendering.
 
 One key per line, `#` starts a comment, unknown keys are rejected with their
-line number.  Defaults are documented on SimulationConfig; parse/render round
-trips exactly (floats are rendered with repr, which preserves doubles).
+line number.  The keys are the fields of SimulationConfig, each parsed by the
+type of its documented default; parse/render round trips exactly (floats are
+rendered with repr, which preserves doubles).
 """
 
 from __future__ import annotations
@@ -70,19 +71,11 @@ class InitialSpec:
 
 
 @dataclass(frozen=True)
-class SimulationConfig:
-    """Fully validated run description; field defaults are the documented ones."""
+class SimulationConfig(ModelParams):
+    """Fully validated run description: the model parameters it inherits
+    plus the run settings below; field defaults are the documented ones."""
 
     scheme: str = "p-etd1"
-    epsilon: float = 0.02
-    theta: float = 0.8
-    theta_c: float = 1.6
-    sigma: float = 30.0
-    kappa: float = 2.0
-    delta: float = 0.05
-    L: float = 1.0
-    M: int = 128
-    tau: float = 1e-4
     T_final: float = 0.02
     initial: InitialSpec = InitialSpec("sine", 0.1)
     snapshot_times: tuple[float, ...] = ()
@@ -112,55 +105,33 @@ class SimulationConfig:
                 raise ValueError(
                     f"snapshot time {s} outside [0, T_final={self.T_final}]"
                 )
-        self.model_params()  # surfaces parameter invariant violations
+        super().__post_init__()
 
     def model_params(self) -> ModelParams:
-        return ModelParams(
-            epsilon=self.epsilon,
-            theta=self.theta,
-            theta_c=self.theta_c,
-            sigma=self.sigma,
-            kappa=self.kappa,
-            delta=self.delta,
-            L=self.L,
-            M=self.M,
-            tau=self.tau,
+        return ModelParams(**{f.name: getattr(self, f.name) for f in fields(ModelParams)})
+
+    def projection_options(self) -> dict:
+        """The projection keywords of stepper.advance, as configured."""
+        return dict(
+            mass_target=self.mass_target,
+            projection_tol=self.projection_tol,
+            projection_max_iter=self.projection_max_iter,
         )
 
 
-_INT_KEYS = {"M", "projection_max_iter"}
-_FLOAT_KEYS = {
-    "epsilon",
-    "theta",
-    "theta_c",
-    "sigma",
-    "kappa",
-    "delta",
-    "L",
-    "tau",
-    "T_final",
-    "projection_tol",
-    "structure_threshold",
-}
-_STR_KEYS = {"scheme", "mass_target", "output_dir"}
-_KNOWN_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"initial", "snapshot_times"}
-)
+def _parse_times(raw: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in raw.split(",")) if raw.strip() else ()
+
+
+_PARSERS = {int: int, float: float, str: str, InitialSpec: InitialSpec.parse, tuple: _parse_times}
+
+#: every config key, mapped to the parser of its raw text (by default type)
+CONFIG_KEYS = {f.name: _PARSERS[type(f.default)] for f in fields(SimulationConfig)}
 
 
 def _convert(key: str, raw: str, lineno: int):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "initial":
-            return InitialSpec.parse(raw)
-        if key == "snapshot_times":
-            if not raw.strip():
-                return ()
-            return tuple(float(p) for p in raw.split(","))
-        return raw
+        return CONFIG_KEYS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
 
@@ -175,14 +146,14 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Simulati
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _convert(key, raw, lineno)
 
     for key, raw in (overrides or {}).items():
-        if key not in _KNOWN_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"override: unknown key {key!r}")
         values[key] = _convert(key, raw, 0)
 

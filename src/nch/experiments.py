@@ -12,6 +12,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import ndimage
@@ -66,12 +67,14 @@ def convergence_study(
     T_final: float = 0.02,
     amplitude: float = 0.1,
     benchmark_scheme: str = "p-etdrk2",
-    mass_target: str = "predictor",
+    **options,
 ) -> ConvergenceReport:
     """Temporal convergence against a fine-step benchmark solution.
 
     Each step size runs from the same smooth initial field to T_final on the
-    same mesh, so the reported errors are purely temporal.
+    same mesh, so the reported errors are purely temporal.  options are the
+    projection keywords of advance (mass_target, projection_tol,
+    projection_max_iter), passed to every run.
     """
     if any(b >= a for a, b in zip(tau_list, tau_list[1:])):
         raise ValueError(f"tau values must be strictly decreasing, got {tau_list}")
@@ -84,9 +87,7 @@ def convergence_study(
     steps = {tau: step_count(T_final, tau) for tau in (benchmark_tau, *tau_list)}
 
     def final_field(run_scheme: str, tau: float) -> Array:
-        state, _, status = advance(
-            u0, replace(params, tau=tau), run_scheme, steps[tau], mass_target=mass_target
-        )
+        state, _, status = advance(u0, replace(params, tau=tau), run_scheme, steps[tau], **options)
         if status != "ok":
             raise RuntimeError(
                 f"{run_scheme} run at tau={tau} ended with status {status}"
@@ -209,12 +210,13 @@ def minority_structure_count(grid: Grid, u: Array, threshold: float = 0.0) -> in
     return count_structures(u, threshold)
 
 
-def _sweep_one(args) -> StructureCount:
-    params, scheme, T_final, seed, offset, amplitude, threshold, mass_target = args
+def _sweep_one(
+    params: ModelParams, scheme, T_final, seed, offset, amplitude, threshold, **options
+) -> StructureCount:
     grid = params.grid()
     u0 = random_initial(grid, offset, amplitude, seed)
     n_steps = step_count(T_final, params.tau)
-    state, _, status = advance(u0, params, scheme, n_steps, mass_target=mass_target)
+    state, _, status = advance(u0, params, scheme, n_steps, **options)
     if status != "ok":
         raise RuntimeError(f"sweep run at sigma={params.sigma} ended with {status}")
     return StructureCount(
@@ -235,38 +237,37 @@ def sigma_sweep(
     offset: float = 0.3,
     amplitude: float = 0.05,
     threshold: float = 0.0,
-    mass_target: str = "predictor",
+    **options,
 ) -> tuple[list[StructureCount], float | None]:
     """Count equilibrium structures for each nonlocal strength.
 
     Every run starts from the same seeded random field (the strength is the
     only thing varied) and is evolved to T_final with the second-order
-    projected scheme; returns the counts and the fitted log-log slope
-    (None for a single-entry list).
+    projected scheme; options are the projection keywords of advance.
+    Returns the counts and the fitted log-log slope (None for a single-entry
+    list).
     """
     if any(s <= 0 for s in sigma_list):
         raise ValueError(f"sigma values must be positive, got {sigma_list}")
     if any(b <= a for a, b in zip(sigma_list, sigma_list[1:])):
         raise ValueError(f"sigma values must be strictly increasing, got {sigma_list}")
-    jobs = [
-        (
-            replace(params, sigma=float(s)),
-            scheme,
-            T_final,
-            seed,
-            offset,
-            amplitude,
-            threshold,
-            mass_target,
-        )
-        for s in sigma_list
-    ]
+    jobs = [replace(params, sigma=float(s)) for s in sigma_list]
+    one = partial(
+        _sweep_one,
+        scheme=scheme,
+        T_final=T_final,
+        seed=seed,
+        offset=offset,
+        amplitude=amplitude,
+        threshold=threshold,
+        **options,
+    )
     workers = min(thread_budget(), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, jobs))
+            results = list(pool.map(one, jobs))
     else:
-        results = [_sweep_one(job) for job in jobs]
+        results = [one(job) for job in jobs]
     slope = fit_loglog_slope([r.sigma for r in results], [r.count for r in results])
     return results, slope
 

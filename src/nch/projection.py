@@ -35,14 +35,12 @@ class ProjectionResult:
     lam         pointwise multiplier, >= 0, nonzero only on clamped entries
     xi          scalar mass multiplier
     iterations  residual evaluations performed beyond the xi = 0 probe
-    residual    <u, 1> - target_mass at exit
     """
 
     u: Array
     lam: Array
     xi: float
     iterations: int
-    residual: float
 
 
 def clamp_with_multiplier(
@@ -213,8 +211,8 @@ def project(
     utilde = grid.check(utilde)
     if target_mass is None:
         target_mass = grid.mass(utilde)
-    xi, iterations, residual = solve_xi(
+    xi, iterations, _ = solve_xi(
         grid, utilde, delta, target_mass, tol=tol, max_iter=max_iter, xi1=xi1
     )
     u, lam = clamp_with_multiplier(utilde, xi, delta)
-    return ProjectionResult(u=u, lam=lam, xi=xi, iterations=iterations, residual=residual)
+    return ProjectionResult(u=u, lam=lam, xi=xi, iterations=iterations)

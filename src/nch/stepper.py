@@ -277,7 +277,6 @@ class RunResult:
     state: StepState
     diagnostics: list[StepDiagnostics]
     blowup_time: float | None = None
-    output_dir: Path | None = None
     snapshot_paths: list[Path] = field(default_factory=list)
     csv_path: Path | None = None
 
@@ -340,9 +339,7 @@ def run(config: SimulationConfig, pgm: bool = False) -> RunResult:
         params,
         config.scheme,
         n_steps,
-        mass_target=config.mass_target,
-        projection_tol=config.projection_tol,
-        projection_max_iter=config.projection_max_iter,
+        **config.projection_options(),
         collect=True,
         with_energy=True,
         on_step=on_step,
@@ -358,7 +355,6 @@ def run(config: SimulationConfig, pgm: bool = False) -> RunResult:
         state=state,
         diagnostics=diagnostics,
         blowup_time=state.t if status == "blowup" else None,
-        output_dir=out_dir,
         snapshot_paths=snapshot_paths,
         csv_path=csv_path,
     )

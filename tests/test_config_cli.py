@@ -1,9 +1,12 @@
+import pickle
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nch import ConfigError, Grid, parse_config, render_config, write_snapshot
+from nch import errors, experiments
 from nch.cli import main
 from nch.config import InitialSpec, SimulationConfig
 from nch.grid import read_snapshot
@@ -44,6 +47,22 @@ class TestParse:
     def test_bad_value_reports_key(self):
         with pytest.raises(ConfigError, match="tau"):
             parse_config("tau = fast\n")
+
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("M", "1.5"),
+            ("projection_max_iter", "many"),
+            ("tau", "fast"),
+            ("initial", "sine()"),
+            ("snapshot_times", "0.1, soon"),
+        ],
+    )
+    def test_every_parser_reports_its_key(self, key, raw):
+        with pytest.raises(ConfigError, match=f"line 2: bad value for {key}:"):
+            parse_config(f"# header\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=f"bad value for {key}:"):
+            parse_config("", {key: raw})
 
     def test_snapshot_times_must_lie_in_the_horizon(self):
         with pytest.raises(ConfigError, match="snapshot"):
@@ -214,6 +233,56 @@ class TestCli:
         assert (out / "sigma_sweep.csv").exists()
         assert "sigma=5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_applies_projection_max_iter(self, tmp_path, capsys, monkeypatch, threads):
+        # one secant iteration cannot meet the tolerance; in a process pool
+        # the error must also survive the trip back to the parent
+        monkeypatch.setenv("NCH_THREADS", threads)
+        args = ["--M=16", "--tau=0.1", "--T_final=1", "--sigma-list=30,70"]
+        code = main(["sweep", *args, "--projection_max_iter=1", f"--out={tmp_path}"])
+        assert code == 3
+        assert "solver error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, runs",
+        [
+            (["converge", "--tau-list=2e-3,1e-3", "--benchmark-tau=5e-4", "--T_final=0.01"], 3),
+            (["sweep", "--sigma-list=5,20", "--tau=0.1", "--T_final=0.5"], 2),
+        ],
+    )
+    def test_experiments_forward_projection_options(self, tmp_path, monkeypatch, command, runs):
+        monkeypatch.setenv("NCH_THREADS", "1")
+        calls = []
+
+        def fake_advance(u0, params, scheme, n_steps, **options):
+            calls.append(options)
+            return SimpleNamespace(u=u0), [], "ok"
+
+        monkeypatch.setattr(experiments, "advance", fake_advance)
+        options = ["--mass_target=initial", "--projection_tol=1e-11", "--projection_max_iter=7"]
+        assert main([*command, "--M=8", *options, f"--out={tmp_path}"]) == 0
+        expected = dict(mass_target="initial", projection_tol=1e-11, projection_max_iter=7)
+        assert calls == [expected] * runs
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            errors.BoundViolationError("entry out of range"),
+            errors.InfeasibleMassError("target out of range"),
+            errors.NonFiniteFieldError("nan predictor"),
+            errors.ProjectionConvergenceError("no root", residual=0.5),
+        ],
+    )
+    def test_every_solver_error_exits_3(self, tmp_path, capsys, monkeypatch, error):
+        def failing_run(config, pgm=False):
+            raise error
+
+        monkeypatch.setattr("nch.cli.run", failing_run)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("M = 8\n")
+        assert main(["run", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"nch: solver error: {error}\n"
+
     def test_pgm_export(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         out = tmp_path / "o"
@@ -223,3 +292,24 @@ class TestCli:
         )
         assert main(["run", str(cfg), "--pgm"]) == 0
         assert (out / "snapshot_t0.01.pgm").exists()
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "cls",
+        [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)],
+    )
+    def test_pickle_round_trip(self, cls):
+        # errors raised in a sweep worker are pickled back to the parent
+        error = cls("message", 0.25) if cls is errors.ProjectionConvergenceError else cls("message")
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is cls
+        assert str(back) == "message"
+        assert getattr(back, "residual", None) == getattr(error, "residual", None)
+
+    def test_solver_errors_keep_their_builtin_bases(self):
+        assert issubclass(errors.InfeasibleMassError, errors.SolverError)
+        assert issubclass(errors.InfeasibleMassError, ValueError)
+        assert issubclass(errors.ProjectionConvergenceError, errors.SolverError)
+        assert issubclass(errors.ProjectionConvergenceError, RuntimeError)
+        assert not issubclass(errors.ConfigError, errors.SolverError)
