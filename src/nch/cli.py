@@ -3,7 +3,9 @@
 Any `--key=value` argument whose key is a config key overrides the config
 file (which is optional for converge/sweep).  Exit codes: 0 success,
 2 config error, 3 solver error, 4 unprojected scheme left the bound
-(`blowup`, the expected outcome of the comparison experiment).
+(`blowup`, the expected outcome of the comparison experiment; for converge
+and sweep, whose studies need every run's final field, the first such run
+ends the command).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from . import experiments
-from .errors import SolverError
+from .errors import BlowupError, SolverError
 from .grid import read_snapshot
 from .stepper import run
 
@@ -174,6 +176,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, overrides)
         return _cmd_count(args)
+    except BlowupError as exc:
+        print(f"nch: blowup: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
     except SolverError as exc:
         print(f"nch: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

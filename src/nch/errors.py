@@ -30,5 +30,10 @@ class ProjectionConvergenceError(SolverError, RuntimeError):
         return type(self), (self.args[0], self.residual)
 
 
+class BlowupError(RuntimeError):
+    """An unprojected run left the bound inside an experiment that needs its
+    final field; the CLI reports it with exit code 4, as for `nch run`."""
+
+
 class ConfigError(ValueError):
     """Malformed or invalid configuration text."""

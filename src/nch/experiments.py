@@ -10,14 +10,13 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy import ndimage
 
 from .config import step_count
+from .errors import BlowupError, SolverError
 from .grid import Grid, ModelParams
 from .stepper import advance, random_initial, sine_initial
 
@@ -33,6 +32,20 @@ def thread_budget() -> int:
             raise ValueError(f"NCH_THREADS must be >= 1, got {value}")
         return value
     return os.cpu_count() or 1
+
+
+def _final_field(u0: Array, params: ModelParams, scheme: str, n_steps: int, run: str,
+                 options: dict) -> Array:
+    """The field after n_steps of advance; errors name the run ("tau=...")."""
+    try:
+        state, _, status = advance(u0, params, scheme, n_steps, **options)
+    except SolverError as exc:
+        # same type and attributes, so it still crosses a process pool
+        exc.args = (f"{scheme} run at {run}: {exc}", *exc.args[1:])
+        raise
+    if status != "ok":
+        raise BlowupError(f"{scheme} run at {run} ended with status {status}")
+    return state.u
 
 
 @dataclass(frozen=True)
@@ -87,12 +100,9 @@ def convergence_study(
     steps = {tau: step_count(T_final, tau) for tau in (benchmark_tau, *tau_list)}
 
     def final_field(run_scheme: str, tau: float) -> Array:
-        state, _, status = advance(u0, replace(params, tau=tau), run_scheme, steps[tau], **options)
-        if status != "ok":
-            raise RuntimeError(
-                f"{run_scheme} run at tau={tau} ended with status {status}"
-            )
-        return state.u
+        return _final_field(
+            u0, replace(params, tau=tau), run_scheme, steps[tau], f"tau={tau:g}", options
+        )
 
     reference = final_field(benchmark_scheme, benchmark_tau)
     rows: list[ConvergenceRow] = []
@@ -147,36 +157,36 @@ def write_convergence_csv(path, report: ConvergenceReport) -> None:
 def count_structures(u: Array, threshold: float = 0.0) -> int:
     """Connected components of {u > threshold} under 4-neighbor periodic adjacency.
 
-    scipy labels the components on the flat torus-unrolled array; components
-    touching across the wrap seams are merged by union-find over the two
-    boundary pairs.
+    The graph joins every cell of the set to its next neighbour along each
+    axis, the wrap-around included, so a component that crosses a seam is
+    one component.  Labels start as the flat cell indices; each round hooks
+    every root to the smallest root it shares an edge with, then jumps
+    pointers until each cell points at its root, and drops the edges whose
+    ends already share one; it stops when no edge joins two roots.
     """
     mask = np.asarray(u) > threshold
-    labels, count = ndimage.label(mask)  # default structure is 4-connectivity
-    if count == 0:
-        return 0
-
-    parent = list(range(count + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for a, b in zip(labels[0, :], labels[-1, :]):
-        if a and b:
-            union(int(a), int(b))
-    for a, b in zip(labels[:, 0], labels[:, -1]):
-        if a and b:
-            union(int(a), int(b))
-
-    return len({find(k) for k in range(1, count + 1)})
+    flat = np.arange(mask.size)
+    cells = flat.reshape(mask.shape)
+    heads, tails = [], []
+    for axis in range(mask.ndim):
+        joined = mask & np.roll(mask, -1, axis)
+        heads.append(cells[joined])
+        tails.append(np.roll(cells, -1, axis)[joined])
+    a, b = np.concatenate(heads), np.concatenate(tails)
+    label = flat.copy()
+    while True:
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not apart.any():
+            break
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return int(np.count_nonzero(mask.ravel() & (label == flat)))
 
 
 @dataclass(frozen=True)
@@ -216,12 +226,10 @@ def _sweep_one(
     grid = params.grid()
     u0 = random_initial(grid, offset, amplitude, seed)
     n_steps = step_count(T_final, params.tau)
-    state, _, status = advance(u0, params, scheme, n_steps, **options)
-    if status != "ok":
-        raise RuntimeError(f"sweep run at sigma={params.sigma} ended with {status}")
+    u = _final_field(u0, params, scheme, n_steps, f"sigma={params.sigma:g}", options)
     return StructureCount(
         sigma=params.sigma,
-        count=minority_structure_count(grid, state.u, threshold),
+        count=minority_structure_count(grid, u, threshold),
         threshold=threshold,
         final_time=n_steps * params.tau,
     )
@@ -264,6 +272,10 @@ def sigma_sweep(
     )
     workers = min(thread_budget(), len(jobs))
     if workers > 1:
+        # imported here: only a pooled sweep needs it, and it costs every
+        # other command's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, jobs))
     else:

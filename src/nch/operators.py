@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import BoundViolationError
 from .grid import Grid, ModelParams
@@ -199,6 +198,14 @@ def _nonlocal_weights_cached(M: int, L: float) -> Array:
     return w
 
 
+def _xlogx(x: Array) -> Array:
+    # x ln x with its limit 0 at x = 0, where u sits at exactly +-1
+    out = np.zeros_like(x)
+    np.log(x, out=out, where=x > 0)
+    out *= x
+    return out
+
+
 def energy(u: Array, params: ModelParams) -> float:
     """Discrete free energy.
 
@@ -215,8 +222,7 @@ def energy(u: Array, params: ModelParams) -> float:
     u = grid.check(u)
     _require_inside_bound(u, 1.0, strict=False)
 
-    up, um = 1.0 + u, 1.0 - u
-    entropy = xlogy(up, up) + xlogy(um, um)
+    entropy = _xlogx(1.0 + u) + _xlogx(1.0 - u)
     bulk = grid.h**2 * float(
         np.sum(0.5 * params.theta * entropy - 0.5 * params.theta_c * u * u)
     )

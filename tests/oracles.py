@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
+from scipy import ndimage
 from scipy.special import xlogy
 
 
@@ -141,3 +142,35 @@ def full_spectrum_energy(u, params):
     interface = 0.5 * params.epsilon**2 * np.sum(gx * gx + gy * gy)
     nonlocal_sq = full_spectrum_nonlocal(u, params.L)
     return float(bulk + interface + 0.5 * params.sigma * nonlocal_sq)
+
+
+def ndimage_periodic_count(u, threshold=0.0):
+    """Components of {u > threshold} under 4-neighbor periodic adjacency:
+    scipy labels the flat array, then a union-find over the two pairs of
+    boundary rows and columns merges the components that meet across a seam."""
+    mask = np.asarray(u) > threshold
+    labels, count = ndimage.label(mask)  # default structure is 4-connectivity
+    if count == 0:
+        return 0
+
+    parent = list(range(count + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    for a, b in zip(labels[0, :], labels[-1, :]):
+        if a and b:
+            union(int(a), int(b))
+    for a, b in zip(labels[:, 0], labels[:, -1]):
+        if a and b:
+            union(int(a), int(b))
+
+    return len({find(k) for k in range(1, count + 1)})

@@ -1,4 +1,7 @@
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -186,6 +189,15 @@ class TestCli:
         )
         assert main(["run", str(cfg)]) == 4
 
+    def test_converge_blowup_exits_4(self, tmp_path, capsys):
+        # the unprojected scheme leaves the bound at the largest step
+        args = ["--scheme=etd1", "--M=32", "--kappa=0", "--tau-list=1,0.5", "--benchmark-tau=0.25",
+                "--T_final=20", "--amplitude=0.9", f"--out={tmp_path}"]
+        assert main(["converge", *args]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("nch: blowup: ") and err.count("\n") == 1
+        assert "etd1" in err and "tau=1 " in err
+
     def test_count_subcommand(self, tmp_path, capsys):
         grid = Grid(32)
         u = np.full((32, 32), -0.9)
@@ -241,7 +253,9 @@ class TestCli:
         args = ["--M=16", "--tau=0.1", "--T_final=1", "--sigma-list=30,70"]
         code = main(["sweep", *args, "--projection_max_iter=1", f"--out={tmp_path}"])
         assert code == 3
-        assert "solver error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver error" in err
+        assert "sigma=30" in err
 
     @pytest.mark.parametrize(
         "command, runs",
@@ -313,3 +327,13 @@ class TestErrors:
         assert issubclass(errors.ProjectionConvergenceError, errors.SolverError)
         assert issubclass(errors.ProjectionConvergenceError, RuntimeError)
         assert not issubclass(errors.ConfigError, errors.SolverError)
+
+
+def test_cli_import_loads_no_scipy():
+    # every nch call pays for what `import nch.cli` loads; numpy is enough
+    code = "import sys, nch.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nch import ModelParams, convergence_study, count_structures, fit_loglog_slope
+from nch.errors import ProjectionConvergenceError
 from nch.experiments import (
     format_convergence_table,
     minority_structure_count,
@@ -9,6 +10,8 @@ from nch.experiments import (
     write_convergence_csv,
 )
 from nch.stepper import advance, sine_initial
+
+from oracles import ndimage_periodic_count
 
 
 def disc(grid, cx, cy, radius):
@@ -64,6 +67,59 @@ class TestCountStructures:
         assert count_structures(matrix) == 1  # the connected matrix
         assert minority_structure_count(grid, matrix) == 2  # the droplets
         assert minority_structure_count(grid, -matrix) == 2
+
+
+def serpentine(M):
+    # one path through every even row, joined at alternating ends by the odd
+    # rows; when 4 divides M the last joint wraps from the bottom row to the top
+    mask = np.zeros((M, M), dtype=bool)
+    mask[0::2, : M - 1] = True
+    mask[1::4, M - 2] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+def seam_band(M):
+    # a band of rows cut at column M//2: its two halves meet only across the
+    # column seam
+    mask = np.zeros((M, M), dtype=bool)
+    mask[1:3, :] = True
+    mask[1:3, M // 2] = False
+    return mask
+
+
+class TestCountStructuresAgainstNdimage:
+    @pytest.mark.parametrize("M", [1, 2, 3, 8, 15, 16, 33])
+    def test_random_fields(self, M):
+        rng = np.random.default_rng(M)
+        for _ in range(25):
+            u = rng.uniform(-1.0, 1.0, (M, M))
+            threshold = rng.uniform(-0.6, 0.6)
+            assert count_structures(u, threshold) == ndimage_periodic_count(u, threshold)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 8, 15, 16, 33])
+    def test_special_masks(self, M):
+        i, j = np.indices((M, M))
+        masks = {
+            "empty": np.zeros((M, M), dtype=bool),
+            "full": np.ones((M, M), dtype=bool),
+            "checkerboard": (i + j) % 2 == 0,
+        }
+        if M >= 4:
+            masks["serpentine"] = serpentine(M)
+            masks["seam band"] = seam_band(M)
+            masks["seam band, transposed"] = seam_band(M).T
+        for name, mask in masks.items():
+            u = np.where(mask, 0.9, -0.9)
+            assert count_structures(u) == ndimage_periodic_count(u), name
+
+    def test_long_paths_are_one_component(self):
+        # a single path through the whole torus counts once, and so does a
+        # band whose halves meet only across a seam
+        for M in (16, 256):
+            assert count_structures(np.where(serpentine(M), 0.9, -0.9)) == 1
+            band = np.where(seam_band(M), 0.9, -0.9)
+            assert count_structures(band) == count_structures(band.T) == 1
 
 
 class TestConvergenceStudy:
@@ -136,6 +192,15 @@ class TestSigmaSweep:
         results, slope = sigma_sweep([5.0], params, T_final=0.5, seed=3)
         assert len(results) == 1
         assert slope is None
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_solver_error_names_the_sigma(self, monkeypatch, threads):
+        # the error keeps its type and residual, also across the process pool
+        monkeypatch.setenv("NCH_THREADS", threads)
+        params = ModelParams(M=16, tau=0.1, kappa=2.0)
+        with pytest.raises(ProjectionConvergenceError, match="sigma=30") as info:
+            sigma_sweep([30.0, 70.0], params, T_final=1.0, seed=7, projection_max_iter=1)
+        assert info.value.residual > 0
 
     def test_validation(self):
         params = ModelParams(M=8)
