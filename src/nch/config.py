@@ -22,9 +22,12 @@ MASS_TARGETS = ("predictor", "initial")
 def step_count(T: float, tau: float) -> int:
     """Number of steps of size tau that end exactly at time T.
 
-    Raises ValueError unless T/tau is a whole number to 1e-9 relative, so a
-    horizon between two steps is refused rather than rounded to one of them.
+    Raises ValueError unless tau is positive and finite and T/tau is a whole
+    number to 1e-9 relative, so a horizon between two steps is refused
+    rather than rounded to one of them.
     """
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     ratio = T / tau
     if not (math.isfinite(ratio) and math.isclose(ratio, round(ratio), rel_tol=1e-9)):
         raise ValueError(

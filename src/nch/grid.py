@@ -117,22 +117,6 @@ class Grid:
     def mean(self, v: Array) -> float:
         return self.mass(v) / self.area
 
-    # -- spectral transforms ----------------------------------------------
-
-    def dft(self, v: Array) -> Array:
-        """Unnormalized forward 2-D DFT of a real field."""
-        return np.fft.fft2(self.check(v))
-
-    def idft(self, s: Array) -> Array:
-        """1/M^2-scaled inverse DFT; imaginary part dropped (input must be
-        conjugate-symmetric)."""
-        s = np.asarray(s)
-        if s.shape != (self.M, self.M):
-            raise ValueError(
-                f"spectrum has shape {s.shape}, expected ({self.M}, {self.M})"
-            )
-        return np.fft.ifft2(s).real
-
 
 @dataclass(frozen=True)
 class ModelParams:

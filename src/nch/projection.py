@@ -3,7 +3,8 @@
 The admissible set is {v : sup|v| <= 1 - delta, <v, 1> = target}.  The
 minimizer of 1/2 ||v - utilde||^2 over it is a pointwise clamp of
 utilde + xi at +-(1 - delta); the scalar shift xi is the root of the
-piecewise-linear, nondecreasing mass residual.  The pointwise multiplier
+piecewise-linear, nondecreasing mass residual, which solve_xi finds by
+Newton steps on the clamp pattern.  The pointwise multiplier
 field lam >= 0 attached to the clamp makes the KKT system explicit for
 downstream checks:
 
@@ -22,11 +23,6 @@ from .grid import Grid
 
 Array = np.ndarray
 
-#: secant step is abandoned for a bisection of the bracket when the residual
-#: difference underflows
-_SECANT_DENOM_FLOOR = 1e-300
-
-
 @dataclass(frozen=True)
 class ProjectionResult:
     """Corrected field plus the multipliers that produced it.
@@ -34,7 +30,8 @@ class ProjectionResult:
     u           clamped field, sup|u| <= 1 - delta exactly
     lam         pointwise multiplier, >= 0, nonzero only on clamped entries
     xi          scalar mass multiplier
-    iterations  residual evaluations performed beyond the xi = 0 probe
+    iterations  residual evaluations after the xi = 0 probe (Newton steps
+                and bisections of solve_xi)
     """
 
     u: Array
@@ -87,16 +84,21 @@ def solve_xi(
     target_mass: float,
     tol: float | None = None,
     max_iter: int = 100,
-    xi1: float | None = None,
 ) -> tuple[float, int, float]:
     """Root of the mass residual; returns (xi, iterations, residual).
 
-    Secant iteration from xi = 0 and xi = xi1 (the time step, when driven by
-    a stepper), safeguarded by a bracket built from the saturation shifts:
-    whenever a secant step leaves the bracket or its denominator underflows,
-    the bracket is bisected instead.  The residual is piecewise linear, so
-    the bracket never loses the root.  A NaN or infinite entry of utilde or
-    target mass raises NonFiniteFieldError before any iteration.
+    Newton's method on the clamp pattern (Cominetti, Mascarenhas & Silva,
+    Math. Program. Comput. 6, 2014): on the pattern of the current shift the
+    residual is linear with slope h^2 * #{|utilde + xi| < 1 - delta}, so one
+    Newton step lands on that pattern's exact root.  When the slope is 0 or
+    the step leaves the bracket built from the saturation shifts, the
+    bracket is bisected instead; the residual is monotone, so the bracket
+    never loses the root.  An iterate is accepted only when its residual is
+    exactly 0, or within tol at a Newton landing, so the result carries no
+    bias from stopping anywhere inside the tolerance.  Raises
+    ProjectionConvergenceError after max_iter iterations without one, and
+    NonFiniteFieldError, before any iteration, for a NaN or infinite entry
+    of utilde or target mass.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -107,20 +109,17 @@ def solve_xi(
         tol = 1e-13 * grid.area
     utilde = grid.check(utilde)
 
-    def residual(x: float) -> float:
-        return mass_residual(grid, utilde, x, delta, target_mass)
-
     # The xi = 0 probe is NaN or infinite whenever the target or an entry
     # of utilde is NaN, or the target is infinite; an infinite entry shows
     # in the saturation shifts.  Both are needed below anyway.
-    f_zero = residual(0.0)
+    f = mass_residual(grid, utilde, 0.0, delta, target_mass)
     # all-clamped-low / all-clamped-high shifts bracket every root
     lo = -bound - float(np.max(utilde))
     hi = bound - float(np.min(utilde))
-    if not (math.isfinite(f_zero) and math.isfinite(lo) and math.isfinite(hi)):
+    if not (math.isfinite(f) and math.isfinite(lo) and math.isfinite(hi)):
         raise NonFiniteFieldError(
             f"predicted field or target mass {target_mass} is not finite "
-            f"(mass residual at xi = 0: {f_zero})"
+            f"(mass residual at xi = 0: {f})"
         )
     saturation = grid.area * bound
     if not -saturation < target_mass < saturation:
@@ -129,68 +128,27 @@ def solve_xi(
             f"(-{saturation}, {saturation})"
         )
 
-    def polished(xi: float, f: float, iterations: int) -> tuple[float, int, float]:
-        # The residual is linear on the segment of the current clamp pattern
-        # with slope h^2 * (#unclamped), so one Newton step lands on the
-        # locally exact root; this polish removes the accepted-anywhere-
-        # within-tol bias that would otherwise accumulate as mass drift over
-        # long runs.  Kept only when it improves.
-        if f == 0.0:
-            return xi, iterations, f
-        interior = np.count_nonzero(np.abs(utilde + xi) < bound)
-        slope = grid.h * grid.h * interior
-        if slope <= 0.0:
-            return xi, iterations, f
-        candidate = xi - f / slope
-        f_candidate = residual(candidate)
-        if abs(f_candidate) < abs(f):
-            return candidate, iterations + 1, f_candidate
-        return xi, iterations + 1, f
-
-    xi_prev, f_prev = 0.0, f_zero
-    if abs(f_prev) <= tol:
-        return polished(0.0, f_prev, 0)
-    if f_prev > 0.0:
-        hi = min(hi, 0.0)
-    else:
-        lo = max(lo, 0.0)
-
-    xi_cur = float(xi1) if xi1 is not None else 0.5 * (lo + hi)
-    if xi_cur == xi_prev:
-        xi_cur = 0.5 * (lo + hi)
-    f_cur = residual(xi_cur)
-    iterations = 1
-    if f_cur > 0.0:
-        hi = min(hi, xi_cur)
-    elif f_cur < 0.0:
-        lo = max(lo, xi_cur)
-
-    while iterations < max_iter:
-        if abs(f_cur) <= tol:
-            return polished(xi_cur, f_cur, iterations)
-        denom = f_cur - f_prev
-        if abs(denom) > _SECANT_DENOM_FLOOR:
-            candidate = xi_cur - f_cur * (xi_cur - xi_prev) / denom
+    xi, iterations = 0.0, 0
+    while f != 0.0:
+        if f > 0.0:
+            hi = min(hi, xi)
         else:
-            candidate = 0.5 * (lo + hi)
-        if not np.isfinite(candidate) or not lo < candidate < hi:
-            candidate = 0.5 * (lo + hi)
-        xi_prev, f_prev = xi_cur, f_cur
-        xi_cur = candidate
-        f_cur = residual(xi_cur)
+            lo = max(lo, xi)
+        if iterations == max_iter:
+            raise ProjectionConvergenceError(
+                f"no Newton landing within tolerance {tol:.3e} after "
+                f"{iterations} iterations (mass residual {f:.3e})",
+                residual=f,
+            )
+        interior = np.count_nonzero(np.abs(utilde + xi) < bound)
+        step = xi - f / (grid.h * grid.h * interior) if interior else math.nan
+        newton = lo < step < hi
+        xi = float(step) if newton else 0.5 * (lo + hi)
+        f = mass_residual(grid, utilde, xi, delta, target_mass)
         iterations += 1
-        if f_cur > 0.0:
-            hi = xi_cur
-        elif f_cur < 0.0:
-            lo = xi_cur
-
-    if abs(f_cur) <= tol:
-        return polished(xi_cur, f_cur, iterations)
-    raise ProjectionConvergenceError(
-        f"mass residual {f_cur:.3e} still above tolerance {tol:.3e} "
-        f"after {iterations} iterations",
-        residual=f_cur,
-    )
+        if newton and abs(f) <= tol:
+            break
+    return xi, iterations, f
 
 
 def project(
@@ -200,7 +158,6 @@ def project(
     target_mass: float | None = None,
     tol: float | None = None,
     max_iter: int = 100,
-    xi1: float | None = None,
 ) -> ProjectionResult:
     """Project a predicted field onto the admissible set.
 
@@ -212,7 +169,7 @@ def project(
     if target_mass is None:
         target_mass = grid.mass(utilde)
     xi, iterations, _ = solve_xi(
-        grid, utilde, delta, target_mass, tol=tol, max_iter=max_iter, xi1=xi1
+        grid, utilde, delta, target_mass, tol=tol, max_iter=max_iter
     )
     u, lam = clamp_with_multiplier(utilde, xi, delta)
     return ProjectionResult(u=u, lam=lam, xi=xi, iterations=iterations)

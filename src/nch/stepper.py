@@ -146,9 +146,7 @@ class _StepCore:
         self.order = 2 if scheme.endswith("etdrk2") else 1
         self.projected = scheme.startswith("p-")
         self.mass_target = mass_target
-        self.projection = dict(
-            tol=projection_tol, max_iter=projection_max_iter, xi1=params.tau
-        )
+        self.projection = dict(tol=projection_tol, max_iter=projection_max_iter)
 
     def linear_and_forcing(self, u: Array) -> tuple[Array, Array]:
         """phi0(tau L) u and F(u), shared by both stages of a step."""

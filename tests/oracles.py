@@ -24,7 +24,7 @@ def phi_series_fraction(a: Fraction, shift: int, terms: int = 30) -> float:
 
 
 def bisect_xi(utilde, delta, target_mass, h, tol=1e-14, steps=200):
-    """Fine bisection for the clamp shift, independent of the secant path."""
+    """Fine bisection for the clamp shift, independent of solve_xi."""
     bound = 1.0 - delta
     utilde = np.asarray(utilde, dtype=float)
 

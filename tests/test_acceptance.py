@@ -202,7 +202,7 @@ def test_criterion_9_dense_eigendecomposition_oracle():
     predictor_dense = dense_phi_apply(params, phi0, u0) + params.tau * dense_phi_apply(
         params, phi1, f
     )
-    oracle = project(grid, predictor_dense, params.delta, xi1=params.tau)
+    oracle = project(grid, predictor_dense, params.delta)
 
     stepped, _ = p_etd1_step(state, params)
     gap = float(np.max(np.abs(stepped.u - oracle.u)))

@@ -1,5 +1,6 @@
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from nch import ConfigError, Grid, parse_config, render_config, write_snapshot
 from nch import errors, experiments
 from nch.cli import main
-from nch.config import InitialSpec, SimulationConfig
+from nch.config import CONFIG_KEYS, InitialSpec, SimulationConfig
 from nch.grid import read_snapshot
 
 REPO = Path(__file__).resolve().parent.parent
@@ -115,6 +116,17 @@ class TestParse:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("", {"nope": "1"})
 
+    def test_readme_config_table_names_exactly_the_keys(self):
+        readme = (REPO / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        named = []
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                # the first cell names the keys; defaults follow in parentheses
+                key_cell = re.sub(r"\([^)]*\)", "", line.split("|")[1])
+                named += re.findall(r"`([^`]+)`", key_cell)
+        assert sorted(named) == sorted(CONFIG_KEYS)
+
 
 class TestCli:
     def test_run_on_zero_data_exits_clean(self, tmp_path, capsys):
@@ -198,6 +210,11 @@ class TestCli:
         assert err.startswith("nch: blowup: ") and err.count("\n") == 1
         assert "etd1" in err and "tau=1 " in err
 
+    def test_converge_refuses_a_zero_benchmark_tau(self, tmp_path, capsys):
+        args = ["--M=8", "--tau-list=1e-3,5e-4", "--benchmark-tau=0", "--T_final=0.01"]
+        assert main(["converge", *args, f"--out={tmp_path}"]) == 2
+        assert "tau must be positive and finite, got 0.0" in capsys.readouterr().err
+
     def test_count_subcommand(self, tmp_path, capsys):
         grid = Grid(32)
         u = np.full((32, 32), -0.9)
@@ -247,10 +264,10 @@ class TestCli:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_sweep_applies_projection_max_iter(self, tmp_path, capsys, monkeypatch, threads):
-        # one secant iteration cannot meet the tolerance; in a process pool
-        # the error must also survive the trip back to the parent
+        # one iteration cannot meet the tolerance at sigma=30; in a process
+        # pool the error must also survive the trip back to the parent
         monkeypatch.setenv("NCH_THREADS", threads)
-        args = ["--M=16", "--tau=0.1", "--T_final=1", "--sigma-list=30,70"]
+        args = ["--M=32", "--tau=0.1", "--T_final=2", "--sigma-list=30,70"]
         code = main(["sweep", *args, "--projection_max_iter=1", f"--out={tmp_path}"])
         assert code == 3
         err = capsys.readouterr().err

@@ -96,20 +96,24 @@ class TestSolveXi:
     def test_two_by_two_case_agrees_with_bisection_oracle(self):
         grid = Grid(2, 1.0)
         u = np.array([[1.2, 0.5], [-0.3, 0.2]])
-        xi, _, residual = solve_xi(grid, u, DELTA, grid.mass(u), xi1=0.1)
+        xi, _, residual = solve_xi(grid, u, DELTA, grid.mass(u))
         assert xi == pytest.approx(0.25 / 3.0, abs=1e-12)
         assert abs(residual) <= 1e-13
 
     def test_random_instances_agree_with_bisection_oracle(self):
-        grid = Grid(8)
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            u = random_overshooting(rng, grid)
-            target = 0.5 * grid.mass(np.clip(u, -BOUND, BOUND))
-            xi, _, _ = solve_xi(grid, u, DELTA, target, xi1=0.1)
-            assert xi == pytest.approx(
-                bisect_xi(u, DELTA, target, grid.h), abs=1e-10
-            )
+        for M in (1, 2, 3, 8, 16, 33):
+            for _ in range(50):
+                grid = Grid(M, rng.uniform(0.5, 8.0))
+                delta = rng.uniform(0.01, 0.5)
+                u = random_overshooting(rng, grid, spread=rng.uniform(0.2, 3.0))
+                # targets across the feasible interval (-area, area) * (1 - delta)
+                target = rng.uniform(-0.99, 0.99) * grid.area * (1.0 - delta)
+                xi, _, residual = solve_xi(grid, u, delta, target)
+                assert xi == pytest.approx(
+                    bisect_xi(u, delta, target, grid.h), abs=1e-10
+                )
+                assert abs(residual) <= 1e-14 * grid.area
 
     def test_shift_property_for_interior_roots(self):
         # Shifting the field by c and the target by c L^2 leaves the root
@@ -122,10 +126,8 @@ class TestSolveXi:
             u = 0.5 * rng.uniform(-1.0, 1.0, (8, 8))
             target = grid.mass(u) + rng.uniform(-0.1, 0.1) * grid.area
             c = rng.uniform(-0.2, 0.2)
-            xi, _, _ = solve_xi(grid, u, DELTA, target, xi1=0.05)
-            xi_shifted, _, _ = solve_xi(
-                grid, u + c, DELTA, target + c * grid.area, xi1=0.05
-            )
+            xi, _, _ = solve_xi(grid, u, DELTA, target)
+            xi_shifted, _, _ = solve_xi(grid, u + c, DELTA, target + c * grid.area)
             assert xi_shifted == pytest.approx(xi, abs=1e-12)
 
     def test_infeasible_target_rejected(self):
@@ -147,7 +149,7 @@ class TestSolveXi:
         rng = np.random.default_rng(6)
         u = random_overshooting(rng, grid)
         with pytest.raises(ProjectionConvergenceError) as info:
-            solve_xi(grid, u, DELTA, 0.123, max_iter=1, xi1=5.0)
+            solve_xi(grid, u, DELTA, 0.123, max_iter=1)
         assert np.isfinite(info.value.residual)
 
 
