@@ -3,9 +3,10 @@
 Any `--key=value` argument whose key is a config key overrides the config
 file (which is optional for converge/sweep).  Exit codes: 0 success,
 2 config error, 3 solver error, 4 unprojected scheme left the bound
-(`blowup`, the expected outcome of the comparison experiment; for converge
-and sweep, whose studies need every run's final field, the first such run
-ends the command).
+(`blowup`, the expected outcome of the comparison experiment; converge,
+whose study needs every run's final field, ends at the first such run).
+A sweep whose run fails still runs the other sigmas and writes the rows
+of those that completed, without the slope, before it exits 3 or 4.
 """
 
 from __future__ import annotations
@@ -95,25 +96,34 @@ def _cmd_sweep(args, overrides) -> int:
         (initial.offset, initial.amplitude) if initial.kind == "random" else (0.3, 0.05)
     )
     seed = args.seed if args.seed is not None else initial.seed
-    results, slope = experiments.sigma_sweep(
-        sigma_list,
-        cfg.model_params(),
-        cfg.T_final,
-        seed,
-        offset=offset,
-        amplitude=amplitude,
-        threshold=cfg.structure_threshold,
-        **cfg.projection_options(),
-    )
+    out_dir = Path(args.out or cfg.output_dir or ".")
+    try:
+        results, slope = experiments.sigma_sweep(
+            sigma_list,
+            cfg.model_params(),
+            cfg.T_final,
+            seed,
+            offset=offset,
+            amplitude=amplitude,
+            threshold=cfg.structure_threshold,
+            **cfg.projection_options(),
+        )
+    except (SolverError, BlowupError) as exc:
+        # keep the sigmas that completed; main() reports the failure
+        _report_sweep(out_dir, exc.completed, None)
+        raise
+    _report_sweep(out_dir, results, slope)
+    return EXIT_OK
+
+
+def _report_sweep(out_dir: Path, results: list, slope: float | None) -> None:
     for r in results:
         print(f"sigma={r.sigma:g}: {r.count} structures at t={r.final_time:g}")
     if slope is not None:
         print(f"log-log slope: {slope:.4f}")
-    out_dir = Path(args.out or cfg.output_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     experiments.write_sweep_csv(out_dir / "sigma_sweep.csv", results, slope)
     print(f"report: {out_dir / 'sigma_sweep.csv'}")
-    return EXIT_OK
 
 
 def _cmd_count(args) -> int:

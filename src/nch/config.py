@@ -126,7 +126,13 @@ def _parse_times(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in raw.split(",")) if raw.strip() else ()
 
 
+def _render_times(times: tuple[float, ...]) -> str:
+    return ", ".join(repr(t) for t in times)
+
+
 _PARSERS = {int: int, float: float, str: str, InitialSpec: InitialSpec.parse, tuple: _parse_times}
+#: the inverse of each parser; repr keeps every float's digits
+_RENDERERS = {int: str, float: repr, str: str, InitialSpec: InitialSpec.render, tuple: _render_times}
 
 #: every config key, mapped to the parser of its raw text (by default type)
 CONFIG_KEYS = {f.name: _PARSERS[type(f.default)] for f in fields(SimulationConfig)}
@@ -168,16 +174,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Simulati
 
 def render_config(config: SimulationConfig) -> str:
     """Inverse of parse_config: parse(render(c)) == c."""
-    lines = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.name == "initial":
-            rendered = value.render()
-        elif f.name == "snapshot_times":
-            rendered = ", ".join(repr(v) for v in value)
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name} = {rendered}")
+    lines = [
+        f"{f.name} = {_RENDERERS[type(f.default)](getattr(config, f.name))}"
+        for f in fields(config)
+    ]
     return "\n".join(lines) + "\n"

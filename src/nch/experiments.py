@@ -12,6 +12,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -253,7 +254,9 @@ def sigma_sweep(
     only thing varied) and is evolved to T_final with the second-order
     projected scheme; options are the projection keywords of advance.
     Returns the counts and the fitted log-log slope (None for a single-entry
-    list).
+    list).  A run that fails does not stop the others: once all have ended,
+    the first failure in sigma order is raised, its `completed` attribute
+    holding the counts of the runs that did complete.
     """
     if any(s <= 0 for s in sigma_list):
         raise ValueError(f"sigma values must be positive, got {sigma_list}")
@@ -277,11 +280,25 @@ def sigma_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
+            futures = [pool.submit(one, job) for job in jobs]
+            outcomes = [_settled(future.result) for future in futures]
     else:
-        results = [one(job) for job in jobs]
+        outcomes = [_settled(partial(one, job)) for job in jobs]
+    results = [o for o in outcomes if isinstance(o, StructureCount)]
+    failures = [o for o in outcomes if not isinstance(o, StructureCount)]
+    if failures:
+        failures[0].completed = results
+        raise failures[0]
     slope = fit_loglog_slope([r.sigma for r in results], [r.count for r in results])
     return results, slope
+
+
+def _settled(run: Callable[[], StructureCount]) -> StructureCount | Exception:
+    """The run's count, or the solver error or blowup it ended with."""
+    try:
+        return run()
+    except (SolverError, BlowupError) as exc:
+        return exc
 
 
 def write_sweep_csv(path, results: list[StructureCount], slope: float | None) -> None:

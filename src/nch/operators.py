@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundViolationError
-from .grid import Grid, ModelParams
+from .grid import Grid, ModelParams, roll_into
 
 Array = np.ndarray
 
@@ -162,14 +162,20 @@ def apply_phi(v: Array, column: Array) -> Array:
     return np.fft.irfft2(spectrum, s=v.shape)
 
 
-def _require_inside_bound(u: Array, limit: float, strict: bool) -> None:
-    worst = np.unravel_index(np.argmax(np.abs(u)), u.shape)
-    value = u[worst]
-    if abs(value) > limit or (strict and abs(value) == limit):
+def _require_inside_bound(u: Array, limit: float, strict: bool) -> tuple[float, float]:
+    """Raise unless |u| < limit (strict) or <= limit; returns (min u, max u).
+
+    One min/max pair decides; the worst entry is located only to report
+    it.  A NaN entry makes both NaN and passes, as NaN fails no comparison.
+    """
+    lo, hi = float(u.min()), float(u.max())
+    if (hi >= limit or lo <= -limit) if strict else (hi > limit or lo < -limit):
+        worst = np.unravel_index(np.argmax(np.abs(u)), u.shape)
         cmp = ">=" if strict else ">"
         raise BoundViolationError(
-            f"|u| {cmp} {limit} at index {tuple(int(k) for k in worst)}: u = {value!r}"
+            f"|u| {cmp} {limit} at index {tuple(int(k) for k in worst)}: u = {u[worst]!r}"
         )
+    return lo, hi
 
 
 def nonlinear_F(u: Array, params: ModelParams) -> Array:
@@ -181,29 +187,35 @@ def nonlinear_F(u: Array, params: ModelParams) -> Array:
     grid = params.grid()
     u = grid.check(u)
     _require_inside_bound(u, 1.0, strict=True)
-    chem = params.theta * np.arctanh(u)
+    chem = np.arctanh(u)
+    chem *= params.theta
     chem -= (params.theta_c + params.kappa) * u
-    return grid.laplace(chem) + params.sigma * grid.mean(u)
+    out = grid.laplace(chem)
+    out += params.sigma * grid.mean(u)
+    return out
 
 
 @lru_cache(maxsize=16)
-def _nonlocal_weights_cached(M: int, L: float) -> Array:
-    # 1/(-d) on the half spectrum, 0 at the zero mode; the columns 1 ..
-    # ceil(M/2)-1 stand for their mirror images too, so they count twice
+def _nonlocal_root_weights_cached(M: int, L: float) -> Array:
+    # sqrt(1/(-d)) on the half spectrum, 0 at the zero mode; the columns 1
+    # .. ceil(M/2)-1 stand for their mirror images too, so they count twice
     d = _symbol_cached(M, L)[:, : M // 2 + 1]
     w = np.zeros_like(d)
     np.divide(-1.0, d, out=w, where=d < 0)
     w[:, 1 : (M + 1) // 2] *= 2.0
+    np.sqrt(w, out=w)
     w.flags.writeable = False
     return w
 
 
-def _xlogx(x: Array) -> Array:
-    # x ln x with its limit 0 at x = 0, where u sits at exactly +-1
-    out = np.zeros_like(x)
-    np.log(x, out=out, where=x > 0)
-    out *= x
-    return out
+def _sum_of_products(a: Array, b: Array) -> float:
+    # sum(a * b) in one pass and no temporary of a's size.  einsum without
+    # optimize runs its own loop, where np.vdot would start BLAS threads
+    # (tests/test_no_blas.py).  It sums each row in one accumulator, so the
+    # row sums are added pairwise: one accumulator over all entries lost
+    # 3e-14 of the energy (relative) to the cancellation between the two
+    # entropy sums.
+    return float(np.einsum("...j,...j->...", a, b).sum())
 
 
 def energy(u: Array, params: ModelParams) -> float:
@@ -219,20 +231,40 @@ def energy(u: Array, params: ModelParams) -> float:
     admitted through the x ln x -> 0 limit.
     """
     grid = params.grid()
-    u = grid.check(u)
-    _require_inside_bound(u, 1.0, strict=False)
+    u = np.ascontiguousarray(grid.check(u))
+    lo, hi = _require_inside_bound(u, 1.0, strict=False)
+    inside = -1.0 < lo and hi < 1.0
 
-    entropy = _xlogx(1.0 + u) + _xlogx(1.0 - u)
-    bulk = grid.h**2 * float(
-        np.sum(0.5 * params.theta * entropy - 0.5 * params.theta_c * u * u)
+    # two work arrays of u's size, reused below: at M=128, two arrays of
+    # twice that size were mapped and unmapped by malloc on every call, at
+    # about 100 page faults
+    side, logs = np.empty_like(u), np.empty_like(u)
+    entropy = 0.0
+    for one_side in (np.add, np.subtract):
+        one_side(1.0, u, out=side)
+        if inside:
+            np.log(side, out=logs)
+        else:
+            # x ln x -> 0 at x = 0, where u sits at exactly +-1
+            logs.fill(0.0)
+            np.log(side, out=logs, where=side > 0)
+        entropy += _sum_of_products(side, logs)
+    bulk = grid.h**2 * (
+        0.5 * params.theta * entropy - 0.5 * params.theta_c * _sum_of_products(u, u)
     )
 
-    gx, gy = grid.gradient(u)
-    interface = 0.5 * params.epsilon**2 * (grid.inner(gx, gx) + grid.inner(gy, gy))
+    # forward differences h * grad u along x and y, whose squares sum to
+    # h^2 |grad u|^2 without a factor
+    gradient_sq = 0.0
+    for axis, diff in enumerate((side, logs)):
+        roll_into(u, -1, axis, diff)
+        diff -= u
+        gradient_sq += _sum_of_products(diff, diff)
+    interface = 0.5 * params.epsilon**2 * gradient_sq
 
     spectrum = np.fft.rfft2(u)
-    power = spectrum.real**2 + spectrum.imag**2
-    weighted = float(np.sum(power * _nonlocal_weights_cached(grid.M, grid.L)))
-    nonlocal_sq = (grid.L**2 / grid.M**4) * weighted
+    spectrum *= _nonlocal_root_weights_cached(grid.M, grid.L)
+    parts = spectrum.view(float)
+    nonlocal_sq = (grid.L**2 / grid.M**4) * _sum_of_products(parts, parts)
 
     return bulk + interface + 0.5 * params.sigma * nonlocal_sq

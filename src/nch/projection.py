@@ -14,7 +14,8 @@ downstream checks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,21 +24,40 @@ from .grid import Grid
 
 Array = np.ndarray
 
+
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Corrected field plus the multipliers that produced it.
+    """Corrected field, its multipliers and the diagnostics of the field.
 
     u           clamped field, sup|u| <= 1 - delta exactly
-    lam         pointwise multiplier, >= 0, nonzero only on clamped entries
     xi          scalar mass multiplier
     iterations  residual evaluations after the xi = 0 probe (Newton steps
                 and bisections of solve_xi)
+    sup_norm    max |u|
+    mass        <u, 1>
+    lambda_sup  max of lam
+    clamped     number of entries with lam > 0
+    utilde      the predicted field
+    delta       gap of the bound 1 - delta
+
+    The four diagnostics are bitwise what u and lam give.  lam, the
+    pointwise multiplier (>= 0, nonzero only on clamped entries), is built
+    from utilde and xi on first read.
     """
 
     u: Array
-    lam: Array
     xi: float
     iterations: int
+    sup_norm: float
+    mass: float
+    lambda_sup: float
+    clamped: int
+    utilde: Array = field(repr=False)
+    delta: float
+
+    @cached_property
+    def lam(self) -> Array:
+        return clamp_with_multiplier(self.utilde, self.xi, self.delta)[1]
 
 
 def clamp_with_multiplier(
@@ -100,6 +120,40 @@ def solve_xi(
     NonFiniteFieldError, before any iteration, for a NaN or infinite entry
     of utilde or target mass.
     """
+    result, residual = _project(grid, utilde, delta, target_mass, tol, max_iter)
+    return result.xi, result.iterations, residual
+
+
+def project(
+    grid: Grid,
+    utilde: Array,
+    delta: float,
+    target_mass: float | None = None,
+    tol: float | None = None,
+    max_iter: int = 100,
+) -> ProjectionResult:
+    """Project a predicted field onto the admissible set.
+
+    target_mass defaults to the predictor's own mass <utilde, 1>, under
+    which an already-admissible field is returned unchanged with xi = 0 and
+    lam = 0.  The result is the unique minimizer of the convex problem, at
+    the shift solve_xi finds.
+    """
+    return _project(grid, utilde, delta, target_mass, tol, max_iter)[0]
+
+
+def _project(
+    grid: Grid,
+    utilde: Array,
+    delta: float,
+    target_mass: float | None,
+    tol: float | None,
+    max_iter: int,
+) -> tuple[ProjectionResult, float]:
+    # Every residual evaluation writes s = utilde + xi and u = clamp(s) into
+    # the same two arrays; the last one is the result.  Rounding is
+    # monotone, so max s = fl(max utilde + xi), and the extremes of s give
+    # sup|u| and max lam without another pass over the field.
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if max_iter < 0:
@@ -108,14 +162,26 @@ def solve_xi(
     if tol is None:
         tol = 1e-13 * grid.area
     utilde = grid.check(utilde)
+    cell = grid.h * grid.h
+    shifted, u = np.empty_like(utilde), np.empty_like(utilde)
 
-    # The xi = 0 probe is NaN or infinite whenever the target or an entry
-    # of utilde is NaN, or the target is infinite; an infinite entry shows
-    # in the saturation shifts.  Both are needed below anyway.
-    f = mass_residual(grid, utilde, 0.0, delta, target_mass)
-    # all-clamped-low / all-clamped-high shifts bracket every root
-    lo = -bound - float(np.max(utilde))
-    hi = bound - float(np.min(utilde))
+    def clamped_sum(xi: float) -> float:
+        np.add(utilde, xi, out=shifted)
+        np.clip(shifted, -bound, bound, out=u)
+        return float(u.sum())
+
+    top, bottom = float(utilde.max()), float(utilde.min())
+    total = clamped_sum(0.0)
+    if target_mass is None and -bound <= bottom and top <= bound:
+        # nothing clamps, so the probe's sum is the predictor's own
+        target_mass = cell * total
+    elif target_mass is None:
+        target_mass = grid.mass(utilde)
+    f = cell * total - target_mass
+    # all-clamped-low / all-clamped-high shifts bracket every root; the
+    # probe is NaN or infinite whenever the target or an entry of utilde is
+    # NaN, or the target is infinite, and an infinite entry shows here
+    lo, hi = -bound - top, bound - bottom
     if not (math.isfinite(f) and math.isfinite(lo) and math.isfinite(hi)):
         raise NonFiniteFieldError(
             f"predicted field or target mass {target_mass} is not finite "
@@ -140,36 +206,41 @@ def solve_xi(
                 f"{iterations} iterations (mass residual {f:.3e})",
                 residual=f,
             )
-        interior = np.count_nonzero(np.abs(utilde + xi) < bound)
-        step = xi - f / (grid.h * grid.h * interior) if interior else math.nan
+        # entries with |s| < bound; a side whose extreme is inside counts none
+        interior = shifted.size
+        if top + xi >= bound:
+            interior -= np.count_nonzero(shifted >= bound)
+        if bottom + xi <= -bound:
+            interior -= np.count_nonzero(shifted <= -bound)
+        step = xi - f / (cell * interior) if interior else math.nan
         newton = lo < step < hi
         xi = float(step) if newton else 0.5 * (lo + hi)
-        f = mass_residual(grid, utilde, xi, delta, target_mass)
+        total = clamped_sum(xi)
+        f = cell * total - target_mass
         iterations += 1
         if newton and abs(f) <= tol:
             break
-    return xi, iterations, f
 
+    def clip(x: float) -> float:
+        return min(max(x, -bound), bound)
 
-def project(
-    grid: Grid,
-    utilde: Array,
-    delta: float,
-    target_mass: float | None = None,
-    tol: float | None = None,
-    max_iter: int = 100,
-) -> ProjectionResult:
-    """Project a predicted field onto the admissible set.
-
-    target_mass defaults to the predictor's own mass <utilde, 1>, under
-    which an already-admissible field is returned unchanged with xi = 0 and
-    lam = 0.  The result is the unique minimizer of the convex problem.
-    """
-    utilde = grid.check(utilde)
-    if target_mass is None:
-        target_mass = grid.mass(utilde)
-    xi, iterations, _ = solve_xi(
-        grid, utilde, delta, target_mass, tol=tol, max_iter=max_iter
+    high, low = top + xi, bottom + xi  # max and min of shifted
+    clamped, lambda_sup = 0, 0.0
+    if high > bound:
+        clamped += np.count_nonzero(shifted > bound)
+        lambda_sup = (high - bound) / (2.0 * bound)
+    if low < -bound:
+        clamped += np.count_nonzero(shifted < -bound)
+        lambda_sup = max(lambda_sup, (-bound - low) / (2.0 * bound))
+    result = ProjectionResult(
+        u=u,
+        xi=xi,
+        iterations=iterations,
+        sup_norm=max(abs(clip(high)), abs(clip(low))),
+        mass=cell * total,
+        lambda_sup=lambda_sup,
+        clamped=clamped,
+        utilde=utilde,
+        delta=delta,
     )
-    u, lam = clamp_with_multiplier(utilde, xi, delta)
-    return ProjectionResult(u=u, lam=lam, xi=xi, iterations=iterations)
+    return result, f

@@ -94,6 +94,24 @@ def dense_phi_apply(params, fn, v):
     return flat.reshape(params.M, params.M)
 
 
+def roll_laplace(v, h):
+    """Five-point periodic Laplacian as the sum of four np.roll copies."""
+    out = (
+        np.roll(v, -1, axis=0)
+        + np.roll(v, 1, axis=0)
+        + np.roll(v, -1, axis=1)
+        + np.roll(v, 1, axis=1)
+        - 4.0 * v
+    )
+    out /= h * h
+    return out
+
+
+def roll_gradient(v, h):
+    """Periodic forward-difference gradient from np.roll copies."""
+    return (np.roll(v, -1, axis=0) - v) / h, (np.roll(v, -1, axis=1) - v) / h
+
+
 def gauss_legendre_exponential_integral(ell, tau, nodes=64):
     """\\int_0^tau exp(-(tau - s) ell) ds per mode, by Gauss-Legendre."""
     x, w = np.polynomial.legendre.leggauss(nodes)

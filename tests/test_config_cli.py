@@ -265,14 +265,20 @@ class TestCli:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_sweep_applies_projection_max_iter(self, tmp_path, capsys, monkeypatch, threads):
         # one iteration cannot meet the tolerance at sigma=30; in a process
-        # pool the error must also survive the trip back to the parent
+        # pool the error must also survive the trip back to the parent.
+        # sigma=70 completes, and its row is kept, without a slope line
         monkeypatch.setenv("NCH_THREADS", threads)
         args = ["--M=32", "--tau=0.1", "--T_final=2", "--sigma-list=30,70"]
         code = main(["sweep", *args, "--projection_max_iter=1", f"--out={tmp_path}"])
         assert code == 3
-        err = capsys.readouterr().err
-        assert "solver error" in err
-        assert "sigma=30" in err
+        captured = capsys.readouterr()
+        assert captured.err.count("nch:") == 1
+        assert "solver error" in captured.err
+        assert "sigma=30" in captured.err
+        assert "sigma=70: " in captured.out and "slope" not in captured.out
+        rows = (tmp_path / "sigma_sweep.csv").read_text().splitlines()
+        assert rows[0] == "sigma,count,threshold,final_time"
+        assert [r.split(",")[0] for r in rows[1:]] == ["70"]
 
     @pytest.mark.parametrize(
         "command, runs",

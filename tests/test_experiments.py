@@ -201,6 +201,10 @@ class TestSigmaSweep:
         with pytest.raises(ProjectionConvergenceError, match="sigma=30") as info:
             sigma_sweep([30.0, 70.0], params, T_final=2.0, seed=7, projection_max_iter=1)
         assert info.value.residual > 0
+        # the other sigma still runs, and its count comes with the error
+        completed = info.value.completed
+        assert [r.sigma for r in completed] == [70.0]
+        assert completed[0].count > 0 and completed[0].final_time == pytest.approx(2.0)
 
     def test_validation(self):
         params = ModelParams(M=8)

@@ -3,6 +3,7 @@ import pytest
 
 from nch import Grid, ModelParams, read_snapshot, write_snapshot
 from nch.grid import write_pgm
+from oracles import roll_gradient, roll_laplace
 
 
 def random_field(grid, seed, scale=1.0):
@@ -44,6 +45,16 @@ class TestLaplace:
         grid = Grid(32)
         for seed in range(5):
             assert abs(grid.mean(grid.laplace(random_field(grid, seed)))) < 1e-13
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 7, 16, 33])
+def test_stencils_are_bitwise_the_rolled_sums(M):
+    grid = Grid(M, 0.7)
+    v = random_field(grid, M)
+    for field in (v, np.asfortranarray(v)):
+        assert grid.laplace(field).tobytes() == roll_laplace(v, grid.h).tobytes()
+        for got, want in zip(grid.gradient(field), roll_gradient(v, grid.h)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestGradient:

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nch import ModelParams, SimulationConfig, parse_config
+from nch import ModelParams, SimulationConfig, parse_config, project
+from nch.errors import NonFiniteFieldError, SolverError
 from nch.experiments import thread_budget
 from nch.operators import apply_phi, nonlinear_F, operator_eigenvalues, phi0, phi1
 from nch.stepper import (
+    _diagnostics,
+    _StepCore,
     advance,
     etd1_predict,
     etdrk2_predict,
@@ -181,6 +184,53 @@ def test_projected_steps_keep_the_bound_and_the_mass(
     for d in diagnostics:
         assert d.sup_norm <= bound
         assert abs(d.mass_increment) <= slack
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 16, 33])
+@pytest.mark.parametrize("mass_target", ["predictor", "initial"])
+@pytest.mark.parametrize("case", ["no-op", "one-sided", "two-sided", "at-bound"])
+def test_step_diagnostics_are_bitwise_those_of_the_projected_field(M, mass_target, case):
+    # the step core takes sup_norm, mass, lambda_sup and clamped_fraction
+    # from the projection's extremes and counts; they must read as the
+    # full field and multiplier give them
+    params = ModelParams(M=M, tau=0.1)
+    grid, bound = params.grid(), params.bound
+    rng = np.random.default_rng(M)
+    base = rng.uniform(-0.5, 0.5, (M, M))
+    utilde = {
+        "no-op": base,
+        "one-sided": base + 0.7,
+        "two-sided": 2.5 * base,
+        "at-bound": np.select([base > 0.2, base < -0.2], [bound, -bound], base),
+    }[case]
+    state = new_state(np.full((M, M), 0.1), params)
+    core = _StepCore(params, "p-etd1", mass_target=mass_target)
+    target = state.initial_mass if mass_target == "initial" else None
+    full = project(grid, utilde, params.delta, target_mass=target)
+    u, proj = core._correct(utilde, state)
+    diag = _diagnostics(new_state(u, params), grid, proj)
+    assert u.tobytes() == full.u.tobytes()
+    assert _bits(diag.sup_norm) == _bits(grid.norm_inf(full.u))
+    assert _bits(diag.mass) == _bits(grid.mass(full.u))
+    assert _bits(diag.lambda_sup) == _bits(float(np.max(full.lam)))
+    assert _bits(diag.clamped_fraction) == _bits(float(np.mean(full.lam > 0.0)))
+    assert diag.xi == full.xi and diag.projection_iterations == full.iterations
+
+
+def test_a_nan_entry_reaches_the_projection_as_a_solver_error():
+    # NaN passes the bound check of nonlinear_F, as no comparison fails on
+    # it, and the transforms spread it, so the projection's probe refuses
+    # the predictor: NonFiniteFieldError, a SolverError (CLI exit 3)
+    params = ModelParams(M=8, tau=0.1)
+    u0 = np.full((8, 8), 0.2)
+    u0[3, 5] = np.nan
+    with pytest.raises(NonFiniteFieldError, match="not finite"):
+        p_etd1_step(new_state(u0, params), params)
+    assert issubclass(NonFiniteFieldError, SolverError)
 
 
 class TestClassicSteps:
