@@ -64,8 +64,6 @@ def _cmd_run(args, overrides) -> int:
 
 def _cmd_converge(args, overrides) -> int:
     cfg = _load_config(args.config, overrides)
-    if args.scheme:
-        cfg = replace(cfg, scheme=args.scheme)
     tau_list = [float(t) for t in args.tau_list.split(",")]
     report = experiments.convergence_study(
         cfg.scheme,
@@ -74,7 +72,6 @@ def _cmd_converge(args, overrides) -> int:
         float(args.benchmark_tau),
         T_final=cfg.T_final,
         amplitude=args.amplitude,
-        benchmark_scheme=args.benchmark_scheme,
         **cfg.projection_options(),
     )
     table = experiments.format_convergence_table(report)
@@ -92,9 +89,9 @@ def _cmd_sweep(args, overrides) -> int:
     cfg = _load_config(args.config, overrides)
     sigma_list = [float(s) for s in args.sigma_list.split(",")]
     initial = cfg.initial
-    offset, amplitude = (
-        (initial.offset, initial.amplitude) if initial.kind == "random" else (0.3, 0.05)
-    )
+    field = {}  # any initial but random(...) keeps sigma_sweep's default field
+    if initial.kind == "random":
+        field = dict(offset=initial.offset, amplitude=initial.amplitude)
     seed = args.seed if args.seed is not None else initial.seed
     out_dir = Path(args.out or cfg.output_dir or ".")
     try:
@@ -103,9 +100,8 @@ def _cmd_sweep(args, overrides) -> int:
             cfg.model_params(),
             cfg.T_final,
             seed,
-            offset=offset,
-            amplitude=amplitude,
             threshold=cfg.structure_threshold,
+            **field,
             **cfg.projection_options(),
         )
     except (SolverError, BlowupError) as exc:
@@ -146,14 +142,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("converge", help="temporal convergence study")
     p_conv.add_argument("config", nargs="?", default=None)
-    p_conv.add_argument("--scheme", default=None, help="override the scheme under study")
     p_conv.add_argument(
         "--tau-list",
         default="1e-4,5e-5,2.5e-5,1.25e-5,6.25e-6",
         help="comma-separated decreasing step sizes",
     )
     p_conv.add_argument("--benchmark-tau", default="1e-6")
-    p_conv.add_argument("--benchmark-scheme", default="p-etdrk2")
     p_conv.add_argument("--amplitude", type=float, default=0.1)
     p_conv.add_argument("--out", default=None, help="report directory")
 

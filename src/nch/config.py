@@ -16,7 +16,6 @@ from .errors import ConfigError
 from .grid import ModelParams
 
 SCHEMES = ("etd1", "etdrk2", "p-etd1", "p-etdrk2")
-MASS_TARGETS = ("predictor", "initial")
 
 
 def step_count(T: float, tau: float) -> int:
@@ -83,7 +82,6 @@ class SimulationConfig(ModelParams):
     initial: InitialSpec = InitialSpec("sine", 0.1)
     snapshot_times: tuple[float, ...] = ()
     output_dir: str = ""
-    mass_target: str = "predictor"
     projection_tol: float = 1e-13
     projection_max_iter: int = 100
     structure_threshold: float = 0.0
@@ -91,10 +89,6 @@ class SimulationConfig(ModelParams):
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.mass_target not in MASS_TARGETS:
-            raise ValueError(
-                f"mass_target must be one of {MASS_TARGETS}, got {self.mass_target!r}"
-            )
         if not self.T_final >= 0:
             raise ValueError(f"T_final must be nonnegative, got {self.T_final}")
         if not self.projection_tol > 0:
@@ -116,7 +110,6 @@ class SimulationConfig(ModelParams):
     def projection_options(self) -> dict:
         """The projection keywords of stepper.advance, as configured."""
         return dict(
-            mass_target=self.mass_target,
             projection_tol=self.projection_tol,
             projection_max_iter=self.projection_max_iter,
         )

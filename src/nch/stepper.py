@@ -13,13 +13,14 @@ midpoint stage,
     utilde = phi0(tau L) u + tau [(phi1 - phi2)(tau L) F(u)
                                   + phi2(tau L) F(u_mid)].
 
-The corrector projects each stage onto {sup|v| <= 1 - delta, fixed mass},
-which restores the pointwise bound exactly and, because the predictor already
-conserves the discrete mean, keeps the mass constant across every step.  The
-classic (unprojected) schemes are provided for comparison runs; they may
-leave the physical interval at the midpoint or at the end of a step, which is
-reported as a `blowup` and halts the run instead of feeding complex
-logarithms downstream.
+The corrector projects each stage onto {sup|v| <= 1 - delta, <v, 1> = m0},
+m0 being the run's initial mass.  That restores the pointwise bound exactly
+and holds the mass at m0 to the projection tolerance in every step; the
+predictor conserves the mass only up to the roundoff of its spectral sums,
+which would otherwise accumulate.  The classic (unprojected) schemes are
+provided for comparison runs; they may leave the physical interval at the
+midpoint or at the end of a step, which is reported as a `blowup` and halts
+the run instead of feeding complex logarithms downstream.
 
 The step core is built once per run and holds the grid, the phi table and
 the projection options.  It calls the operators and the projection through
@@ -35,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import MASS_TARGETS, SCHEMES, SimulationConfig, step_count
+from .config import SCHEMES, SimulationConfig, step_count
 from .grid import Grid, ModelParams, write_pgm, write_snapshot
 from .operators import apply_phi, build_phi_table, energy, nonlinear_F
 from .projection import ProjectionResult, project
@@ -133,22 +134,16 @@ class _StepCore:
         self,
         params: ModelParams,
         scheme: str,
-        mass_target: str = "predictor",
         projection_tol: float | None = None,
         projection_max_iter: int = 100,
     ) -> None:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-        if mass_target not in MASS_TARGETS:
-            raise ValueError(
-                f"unknown mass target {mass_target!r}, expected one of {MASS_TARGETS}"
-            )
         self.params = params
         self.grid = params.grid()
         self.phi = build_phi_table(params)
         self.order = 2 if scheme.endswith("etdrk2") else 1
         self.projected = scheme.startswith("p-")
-        self.mass_target = mass_target
         self.projection = dict(tol=projection_tol, max_iter=projection_max_iter)
 
     def linear_and_forcing(self, u: Array) -> tuple[Array, Array]:
@@ -172,10 +167,8 @@ class _StepCore:
     ) -> tuple[Array, ProjectionResult | None]:
         if not self.projected:
             return utilde, None
-        # None lets project() fall back to the predictor's own mass
-        target = state.initial_mass if self.mass_target == "initial" else None
         result = project(
-            self.grid, utilde, self.params.delta, target_mass=target, **self.projection
+            self.grid, utilde, self.params.delta, target_mass=state.initial_mass, **self.projection
         )
         return result.u, result
 
@@ -236,7 +229,6 @@ def advance(
     scheme: str,
     n_steps: int,
     *,
-    mass_target: str = "predictor",
     projection_tol: float | None = None,
     projection_max_iter: int = 100,
     collect: bool = False,
@@ -249,7 +241,7 @@ def advance(
     unprojected scheme left the physical interval; the run halts there with
     the offending predictor recorded as the terminal state.
     """
-    core = _StepCore(params, scheme, mass_target, projection_tol, projection_max_iter)
+    core = _StepCore(params, scheme, projection_tol, projection_max_iter)
     state = new_state(u0, params)
     diagnostics: list[StepDiagnostics] = []
     if collect:

@@ -66,6 +66,21 @@ def feasible_fields(rng, n, shape, delta, target_mass, h, mass_tol=1e-13):
     return w
 
 
+PREDICTED_CASES = ("no-op", "one-sided", "two-sided", "at-bound")
+
+
+def predicted_field(case, M, bound):
+    """An M x M predictor of the named case, seeded by M: inside the bound,
+    over it on one side, over it on both, or with entries exactly at it."""
+    base = np.random.default_rng(M).uniform(-0.5, 0.5, (M, M))
+    return {
+        "no-op": base,
+        "one-sided": base + 0.7,
+        "two-sided": 2.5 * base,
+        "at-bound": np.select([base > 0.2, base < -0.2], [bound, -bound], base),
+    }[case]
+
+
 def dense_stiff_operator(params):
     """Dense M^2 x M^2 matrix of the stiff linear operator, built from the
     periodic second-difference matrix by Kronecker products."""

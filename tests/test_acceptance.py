@@ -98,9 +98,9 @@ def test_criterion_4_mass_conservation(comparison_runs):
     for scheme in ("p-etd1", "p-etdrk2"):
         _, diagnostics, _ = comparison_runs[scheme]
         worst[scheme] = max(abs(d.mass_increment) for d in diagnostics)
-        assert worst[scheme] <= 1e-11 * area, f"{scheme}: {worst[scheme]:.3e}"
+        assert worst[scheme] <= 1e-12 * area, f"{scheme}: {worst[scheme]:.3e}"
     report(4, "mass increments over 1000 steps: " + ", ".join(
-        f"{s}={worst[s]:.2e}" for s in worst) + " (<= 1e-11)")
+        f"{s}={worst[s]:.2e}" for s in worst) + " (<= 1e-12)")
 
 
 def test_criterion_5_blowup_contrast(comparison_runs):

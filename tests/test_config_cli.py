@@ -1,3 +1,4 @@
+import argparse
 import os
 import pickle
 import re
@@ -11,7 +12,7 @@ import pytest
 
 from nch import ConfigError, Grid, parse_config, render_config, write_snapshot
 from nch import errors, experiments
-from nch.cli import main
+from nch.cli import _build_parser, main
 from nch.config import CONFIG_KEYS, InitialSpec, SimulationConfig
 from nch.grid import read_snapshot
 
@@ -25,7 +26,6 @@ class TestParse:
         assert cfg.M == 64
         assert cfg.delta == 0.05
         assert cfg.kappa == 2.0
-        assert cfg.mass_target == "predictor"
         assert cfg.projection_tol == 1e-13
 
     def test_comments_and_blank_lines(self):
@@ -105,7 +105,6 @@ class TestParse:
             initial=InitialSpec("random", 0.05, offset=0.3, seed=9),
             snapshot_times=(0.5, 1.0),
             output_dir="somewhere",
-            mass_target="initial",
             structure_threshold=0.125,
         )
         assert parse_config(render_config(cfg)) == cfg
@@ -185,6 +184,13 @@ class TestCli:
         good.write_text("M = 8\n")
         assert main(["run", str(good), "--bogus=1"]) == 2
 
+    def test_mass_target_is_an_unknown_key(self, tmp_path, capsys):
+        # every projected stage lands on the run's initial mass: no choice
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("M = 8\nmass_target = initial\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "line 2: unknown key 'mass_target'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["theta_c", "sigma", "tau", "L", "epsilon"])
     def test_non_finite_parameter_exits_2(self, tmp_path, capsys, key):
         cfg = REPO / "configs" / "comparison.cfg"
@@ -244,6 +250,39 @@ class TestCli:
         assert (out / "convergence_p-etdrk2.txt").exists()
         assert "Rate" in capsys.readouterr().out
 
+    def test_converge_takes_the_scheme_only_as_a_config_override(self, tmp_path):
+        args = ["--M=8", "--T_final=0.01", "--tau-list=2e-3,1e-3", "--benchmark-tau=1e-4",
+                f"--out={tmp_path}"]
+        assert main(["converge", "--scheme=p-etd1", *args]) == 0
+        assert (tmp_path / "convergence_p-etd1.csv").exists()
+        header = (tmp_path / "convergence_p-etd1.txt").read_text().splitlines()[0]
+        assert header == "scheme p-etd1, M=8, T=0.01, benchmark p-etdrk2 at tau=0.0001"
+        assert main(["converge", "--scheme", "p-etd1", *args]) == 2
+
+    def test_readme_cli_block_names_exactly_the_options(self):
+        # a subcommand's line (with its continuation lines) names each of
+        # its options; any other --flag there must be a config key.
+        # Upper-case names are placeholders
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+        named = {}
+        for line in block.splitlines():
+            if line.startswith("nch "):
+                command = line.split()[1]
+            named.setdefault(command, set()).update(re.findall(r"--([a-z][a-z_-]*)", line))
+        subparsers = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        options = {
+            name: {o[2:] for a in sub._actions for o in a.option_strings if o[:2] == "--"}
+            - {"help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert named.keys() == options.keys()
+        for command, flags in named.items():
+            assert flags <= options[command] | CONFIG_KEYS.keys(), command
+            assert options[command] <= flags, command
+
     def test_sweep_subcommand_writes_report(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NCH_THREADS", "1")
         out = tmp_path / "sw"
@@ -296,9 +335,9 @@ class TestCli:
             return SimpleNamespace(u=u0), [], "ok"
 
         monkeypatch.setattr(experiments, "advance", fake_advance)
-        options = ["--mass_target=initial", "--projection_tol=1e-11", "--projection_max_iter=7"]
+        options = ["--projection_tol=1e-11", "--projection_max_iter=7"]
         assert main([*command, "--M=8", *options, f"--out={tmp_path}"]) == 0
-        expected = dict(mass_target="initial", projection_tol=1e-11, projection_max_iter=7)
+        expected = dict(projection_tol=1e-11, projection_max_iter=7)
         assert calls == [expected] * runs
 
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import pytest
 
 from nch import Grid, clamp_with_multiplier, mass_residual, project, solve_xi
 from nch.errors import InfeasibleMassError, NonFiniteFieldError, ProjectionConvergenceError
-from oracles import bisect_xi, feasible_fields
+from oracles import PREDICTED_CASES, bisect_xi, feasible_fields, predicted_field
 
 DELTA = 0.05
 BOUND = 1.0 - DELTA
@@ -211,3 +211,21 @@ class TestProject:
             lhs = grid.norm2(res.u - w) ** 2 + grid.norm2(res.u - utilde) ** 2
             rhs = grid.norm2(utilde - w) ** 2
             assert lhs <= rhs + 1e-12
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 16, 33])
+@pytest.mark.parametrize("case", PREDICTED_CASES)
+def test_own_mass_diagnostics_are_bitwise_those_of_the_field(M, case):
+    # under the default target (the predictor's own mass) an admissible
+    # field exits at the probe; either way the diagnostics must read as
+    # the full field and multiplier give them
+    grid = Grid(M)
+    result = project(grid, predicted_field(case, M, BOUND), DELTA)
+    assert _bits(result.sup_norm) == _bits(grid.norm_inf(result.u))
+    assert _bits(result.mass) == _bits(grid.mass(result.u))
+    assert _bits(result.lambda_sup) == _bits(float(np.max(result.lam)))
+    assert result.clamped == np.count_nonzero(result.lam > 0.0)
