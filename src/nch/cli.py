@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from . import experiments
-from .errors import BlowupError, SolverError
+from .errors import BlowupError, ConfigError, SolverError
 from .grid import read_snapshot
 from .stepper import run
 
@@ -64,6 +64,11 @@ def _cmd_run(args, overrides) -> int:
 
 def _cmd_converge(args, overrides) -> int:
     cfg = _load_config(args.config, overrides)
+    if cfg.initial.kind != "sine":
+        raise ConfigError(
+            f"initial must be sine(amplitude) for converge, got {cfg.initial.render()}"
+        )
+    amplitude = cfg.initial.amplitude if args.amplitude is None else args.amplitude
     tau_list = [float(t) for t in args.tau_list.split(",")]
     report = experiments.convergence_study(
         cfg.scheme,
@@ -71,8 +76,7 @@ def _cmd_converge(args, overrides) -> int:
         tau_list,
         float(args.benchmark_tau),
         T_final=cfg.T_final,
-        amplitude=args.amplitude,
-        **cfg.projection_options(),
+        amplitude=amplitude,
     )
     table = experiments.format_convergence_table(report)
     print(table, end="")
@@ -100,9 +104,9 @@ def _cmd_sweep(args, overrides) -> int:
             cfg.model_params(),
             cfg.T_final,
             seed,
+            scheme=cfg.scheme,
             threshold=cfg.structure_threshold,
             **field,
-            **cfg.projection_options(),
         )
     except (SolverError, BlowupError) as exc:
         # keep the sigmas that completed; main() reports the failure
@@ -148,7 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated decreasing step sizes",
     )
     p_conv.add_argument("--benchmark-tau", default="1e-6")
-    p_conv.add_argument("--amplitude", type=float, default=0.1)
+    p_conv.add_argument(
+        "--amplitude", type=float, default=None, help="overrides the a of initial = sine(a)"
+    )
     p_conv.add_argument("--out", default=None, help="report directory")
 
     p_sweep = sub.add_parser("sweep", help="structure count vs nonlocal strength")

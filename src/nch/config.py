@@ -82,8 +82,6 @@ class SimulationConfig(ModelParams):
     initial: InitialSpec = InitialSpec("sine", 0.1)
     snapshot_times: tuple[float, ...] = ()
     output_dir: str = ""
-    projection_tol: float = 1e-13
-    projection_max_iter: int = 100
     structure_threshold: float = 0.0
 
     def __post_init__(self) -> None:
@@ -91,12 +89,6 @@ class SimulationConfig(ModelParams):
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not self.T_final >= 0:
             raise ValueError(f"T_final must be nonnegative, got {self.T_final}")
-        if not self.projection_tol > 0:
-            raise ValueError(f"projection_tol must be positive, got {self.projection_tol}")
-        if self.projection_max_iter < 1:
-            raise ValueError(
-                f"projection_max_iter must be >= 1, got {self.projection_max_iter}"
-            )
         for s in self.snapshot_times:
             if not 0 <= s <= self.T_final:
                 raise ValueError(
@@ -106,13 +98,6 @@ class SimulationConfig(ModelParams):
 
     def model_params(self) -> ModelParams:
         return ModelParams(**{f.name: getattr(self, f.name) for f in fields(ModelParams)})
-
-    def projection_options(self) -> dict:
-        """The projection keywords of stepper.advance, as configured."""
-        return dict(
-            projection_tol=self.projection_tol,
-            projection_max_iter=self.projection_max_iter,
-        )
 
 
 def _parse_times(raw: str) -> tuple[float, ...]:

@@ -28,18 +28,20 @@ def thread_budget() -> int:
     """Data-parallel width cap from NCH_THREADS; defaults to the CPU count."""
     raw = os.environ.get("NCH_THREADS", "").strip()
     if raw:
-        value = int(raw)
+        try:
+            value = int(raw)
+        except ValueError:
+            value = 0
         if value < 1:
-            raise ValueError(f"NCH_THREADS must be >= 1, got {value}")
+            raise ValueError(f"NCH_THREADS must be a positive integer, got {raw!r}")
         return value
     return os.cpu_count() or 1
 
 
-def _final_field(u0: Array, params: ModelParams, scheme: str, n_steps: int, run: str,
-                 options: dict) -> Array:
+def _final_field(u0: Array, params: ModelParams, scheme: str, n_steps: int, run: str) -> Array:
     """The field after n_steps of advance; errors name the run ("tau=...")."""
     try:
-        state, _, status = advance(u0, params, scheme, n_steps, **options)
+        state, _, status = advance(u0, params, scheme, n_steps)
     except SolverError as exc:
         # same type and attributes, so it still crosses a process pool
         exc.args = (f"{scheme} run at {run}: {exc}", *exc.args[1:])
@@ -83,15 +85,13 @@ def convergence_study(
     *,
     T_final: float = 0.02,
     amplitude: float = 0.1,
-    **options,
 ) -> ConvergenceReport:
     """Temporal convergence against a fine-step benchmark solution.
 
     Each step size runs from the same smooth initial field to T_final on the
     same mesh, so the reported errors are purely temporal; the benchmark is
-    a BENCHMARK_SCHEME run at benchmark_tau.  options are the projection
-    keywords of advance (projection_tol, projection_max_iter), passed to
-    every run.
+    a BENCHMARK_SCHEME run at benchmark_tau.  Every run projects with the
+    tolerance and iteration budget of params.
     """
     if any(b >= a for a, b in zip(tau_list, tau_list[1:])):
         raise ValueError(f"tau values must be strictly decreasing, got {tau_list}")
@@ -105,7 +105,7 @@ def convergence_study(
 
     def final_field(run_scheme: str, tau: float) -> Array:
         return _final_field(
-            u0, replace(params, tau=tau), run_scheme, steps[tau], f"tau={tau:g}", options
+            u0, replace(params, tau=tau), run_scheme, steps[tau], f"tau={tau:g}"
         )
 
     reference = final_field(BENCHMARK_SCHEME, benchmark_tau)
@@ -224,12 +224,12 @@ def minority_structure_count(grid: Grid, u: Array, threshold: float = 0.0) -> in
 
 
 def _sweep_one(
-    params: ModelParams, scheme, T_final, seed, offset, amplitude, threshold, **options
+    params: ModelParams, scheme, T_final, seed, offset, amplitude, threshold
 ) -> StructureCount:
     grid = params.grid()
     u0 = random_initial(grid, offset, amplitude, seed)
     n_steps = step_count(T_final, params.tau)
-    u = _final_field(u0, params, scheme, n_steps, f"sigma={params.sigma:g}", options)
+    u = _final_field(u0, params, scheme, n_steps, f"sigma={params.sigma:g}")
     return StructureCount(
         sigma=params.sigma,
         count=minority_structure_count(grid, u, threshold),
@@ -248,13 +248,11 @@ def sigma_sweep(
     offset: float = 0.3,
     amplitude: float = 0.05,
     threshold: float = 0.0,
-    **options,
 ) -> tuple[list[StructureCount], float | None]:
     """Count equilibrium structures for each nonlocal strength.
 
     Every run starts from the same seeded random field (the strength is the
-    only thing varied) and is evolved to T_final with the second-order
-    projected scheme; options are the projection keywords of advance.
+    only thing varied) and is evolved to T_final with the given scheme.
     Returns the counts and the fitted log-log slope (None for a single-entry
     list).  A run that fails does not stop the others: once all have ended,
     the first failure in sigma order is raised, its `completed` attribute
@@ -273,7 +271,6 @@ def sigma_sweep(
         offset=offset,
         amplitude=amplitude,
         threshold=threshold,
-        **options,
     )
     workers = min(thread_budget(), len(jobs))
     if workers > 1:

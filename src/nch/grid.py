@@ -28,6 +28,9 @@ Array = np.ndarray
 SNAPSHOT_MAGIC = "NCHGRID"
 _FLOAT_FMT = "%.17g"
 
+#: default mass-residual tolerance of the projection, per unit area
+PROJECTION_TOL = 1e-13
+
 
 class VectorField(NamedTuple):
     """x- and y-components of a discrete vector field on a shared mesh."""
@@ -168,6 +171,9 @@ class ModelParams:
     delta    gap of the sup-norm bound 1 - delta, in (0, 1)
     L, M     domain edge and mesh count
     tau      uniform time step, > 0
+    projection_tol  mass-residual tolerance of the projection per unit
+             area, > 0: the solve stops within projection_tol * L^2
+    projection_max_iter  iteration budget of that solve, >= 1
     """
 
     epsilon: float = 0.02
@@ -179,9 +185,12 @@ class ModelParams:
     L: float = 1.0
     M: int = 128
     tau: float = 1e-4
+    projection_tol: float = PROJECTION_TOL
+    projection_max_iter: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "theta", "theta_c", "sigma", "kappa", "L", "tau"):
+        finite = ("epsilon", "theta", "theta_c", "sigma", "kappa", "L", "tau", "projection_tol")
+        for name in finite:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -204,6 +213,12 @@ class ModelParams:
             raise ValueError(f"M must be a positive integer, got {self.M}")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if not self.projection_tol > 0:
+            raise ValueError(f"projection_tol must be positive, got {self.projection_tol}")
+        if self.projection_max_iter < 1:
+            raise ValueError(
+                f"projection_max_iter must be >= 1, got {self.projection_max_iter}"
+            )
 
     def grid(self) -> Grid:
         return Grid(self.M, self.L)

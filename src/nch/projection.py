@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleMassError, NonFiniteFieldError, ProjectionConvergenceError
-from .grid import Grid
+from .grid import PROJECTION_TOL, Grid
 
 Array = np.ndarray
 
@@ -160,7 +160,7 @@ def _project(
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     bound = 1.0 - delta
     if tol is None:
-        tol = 1e-13 * grid.area
+        tol = PROJECTION_TOL * grid.area
     utilde = grid.check(utilde)
     cell = grid.h * grid.h
     shifted, u = np.empty_like(utilde), np.empty_like(utilde)

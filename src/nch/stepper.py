@@ -22,8 +22,9 @@ provided for comparison runs; they may leave the physical interval at the
 midpoint or at the end of a step, which is reported as a `blowup` and halts
 the run instead of feeding complex logarithms downstream.
 
-The step core is built once per run and holds the grid, the phi table and
-the projection options.  It calls the operators and the projection through
+The step core is built once per run and holds the model parameters (the
+projection's tolerance and iteration budget among them), the grid and the
+phi table.  It calls the operators and the projection through
 this module's names, so whatever replaces those names sees every call.
 """
 
@@ -58,9 +59,9 @@ class StepState:
 class StepDiagnostics:
     """Per-step scalars, one field per diagnostics CSV column, in order.
 
-    energy is filled by the run loop when requested (it costs a transform);
-    it stays nan on a terminal blowup record, where the logarithmic terms
-    are undefined.
+    energy is filled by the run loop whenever it collects diagnostics (it
+    costs a transform); it stays nan on a terminal blowup record, where the
+    logarithmic terms are undefined.
     """
 
     step: int
@@ -130,13 +131,7 @@ def _diagnostics(
 class _StepCore:
     """One scheme's step with everything that is fixed for a run."""
 
-    def __init__(
-        self,
-        params: ModelParams,
-        scheme: str,
-        projection_tol: float | None = None,
-        projection_max_iter: int = 100,
-    ) -> None:
+    def __init__(self, params: ModelParams, scheme: str) -> None:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
         self.params = params
@@ -144,7 +139,6 @@ class _StepCore:
         self.phi = build_phi_table(params)
         self.order = 2 if scheme.endswith("etdrk2") else 1
         self.projected = scheme.startswith("p-")
-        self.projection = dict(tol=projection_tol, max_iter=projection_max_iter)
 
     def linear_and_forcing(self, u: Array) -> tuple[Array, Array]:
         """phi0(tau L) u and F(u), shared by both stages of a step."""
@@ -167,8 +161,14 @@ class _StepCore:
     ) -> tuple[Array, ProjectionResult | None]:
         if not self.projected:
             return utilde, None
+        params = self.params
         result = project(
-            self.grid, utilde, self.params.delta, target_mass=state.initial_mass, **self.projection
+            self.grid,
+            utilde,
+            params.delta,
+            target_mass=state.initial_mass,
+            tol=params.projection_tol * self.grid.area,
+            max_iter=params.projection_max_iter,
         )
         return result.u, result
 
@@ -180,18 +180,15 @@ class _StepCore:
         """
         exp_u, f_n = self.linear_and_forcing(state.u)
         u, proj = self._correct(self.predict(exp_u, f_n), state)
-        if self.order == 2 and not self._left_bound(u):
+        if self.order == 2 and (self.projected or self.grid.norm_inf(u) < 1.0):
             f_mid = nonlinear_F(u, self.params)
             u, proj = self._correct(self.predict(exp_u, f_n, f_mid), state)
         index = state.step_index + 1
         nxt = replace(state, u=u, t=index * self.params.tau, step_index=index)
         diag = _diagnostics(nxt, self.grid, proj)
-        if self._left_bound(u):
+        if not self.projected and diag.sup_norm >= 1.0:
             diag.status = "blowup"
         return nxt, diag
-
-    def _left_bound(self, u: Array) -> bool:
-        return not self.projected and self.grid.norm_inf(u) >= 1.0
 
 
 def etd1_predict(state: StepState, params: ModelParams) -> Array:
@@ -206,18 +203,14 @@ def etdrk2_predict(state: StepState, u_mid: Array, params: ModelParams) -> Array
     return core.predict(*core.linear_and_forcing(state.u), nonlinear_F(u_mid, params))
 
 
-def p_etd1_step(
-    state: StepState, params: ModelParams, **options
-) -> tuple[StepState, StepDiagnostics]:
-    """Projected first-order step; options are the projection's (see advance)."""
-    return _StepCore(params, "p-etd1", **options).step(state)
+def p_etd1_step(state: StepState, params: ModelParams) -> tuple[StepState, StepDiagnostics]:
+    """Projected first-order step."""
+    return _StepCore(params, "p-etd1").step(state)
 
 
-def p_etdrk2_step(
-    state: StepState, params: ModelParams, **options
-) -> tuple[StepState, StepDiagnostics]:
-    """Projected second-order step; options are the projection's (see advance)."""
-    return _StepCore(params, "p-etdrk2", **options).step(state)
+def p_etdrk2_step(state: StepState, params: ModelParams) -> tuple[StepState, StepDiagnostics]:
+    """Projected second-order step."""
+    return _StepCore(params, "p-etdrk2").step(state)
 
 
 # -- run loop ----------------------------------------------------------------
@@ -229,25 +222,24 @@ def advance(
     scheme: str,
     n_steps: int,
     *,
-    projection_tol: float | None = None,
-    projection_max_iter: int = 100,
     collect: bool = False,
-    with_energy: bool = False,
     on_step: Callable[[StepState, StepDiagnostics | None], None] | None = None,
 ) -> tuple[StepState, list[StepDiagnostics], str]:
     """March n_steps of the chosen scheme from u0.
 
     Returns (final_state, diagnostics, status) with status `blowup` when an
     unprojected scheme left the physical interval; the run halts there with
-    the offending predictor recorded as the terminal state.
+    the offending predictor recorded as the terminal state.  With collect,
+    diagnostics holds one record per step, step 0 included, energy filled
+    in; without it, the list is empty.  Energy is computed before on_step
+    is called, so a callback that times the steps times it too.
     """
-    core = _StepCore(params, scheme, projection_tol, projection_max_iter)
+    core = _StepCore(params, scheme)
     state = new_state(u0, params)
     diagnostics: list[StepDiagnostics] = []
     if collect:
         diag0 = _diagnostics(state, core.grid, None)
-        if with_energy:
-            diag0.energy = energy(state.u, params)
+        diag0.energy = energy(state.u, params)
         diagnostics.append(diag0)
     if on_step is not None:
         on_step(state, None)
@@ -255,7 +247,7 @@ def advance(
     for _ in range(n_steps):
         state, diag = core.step(state)
         if collect:
-            if with_energy and diag.status == "ok":
+            if diag.status == "ok":
                 diag.energy = energy(state.u, params)
             diagnostics.append(diag)
         if on_step is not None:
@@ -329,14 +321,7 @@ def run(config: SimulationConfig, pgm: bool = False) -> RunResult:
             write_pgm(path.with_suffix(".pgm"), state.u)
 
     state, diagnostics, status = advance(
-        u0,
-        params,
-        config.scheme,
-        n_steps,
-        **config.projection_options(),
-        collect=True,
-        with_energy=True,
-        on_step=on_step,
+        u0, params, config.scheme, n_steps, collect=True, on_step=on_step
     )
 
     csv_path = None

@@ -216,9 +216,7 @@ def test_criterion_10_energy_decrease_soft():
         M=128, tau=0.1,
     )
     u0 = random_initial(params.grid(), 0.3, 0.05, seed=2024)
-    _, diagnostics, status = advance(
-        u0, params, "p-etdrk2", 2000, collect=True, with_energy=True
-    )
+    _, diagnostics, status = advance(u0, params, "p-etdrk2", 2000, collect=True)
     assert status == "ok"
     energies = np.array([d.energy for d in diagnostics])
     increments = np.diff(energies)

@@ -307,7 +307,7 @@ class TestCli:
         # pool the error must also survive the trip back to the parent.
         # sigma=70 completes, and its row is kept, without a slope line
         monkeypatch.setenv("NCH_THREADS", threads)
-        args = ["--M=32", "--tau=0.1", "--T_final=2", "--sigma-list=30,70"]
+        args = ["--scheme=p-etdrk2", "--M=32", "--tau=0.1", "--T_final=2", "--sigma-list=30,70"]
         code = main(["sweep", *args, "--projection_max_iter=1", f"--out={tmp_path}"])
         assert code == 3
         captured = capsys.readouterr()
@@ -329,16 +329,76 @@ class TestCli:
     def test_experiments_forward_projection_options(self, tmp_path, monkeypatch, command, runs):
         monkeypatch.setenv("NCH_THREADS", "1")
         calls = []
+        self._record_advance(monkeypatch, calls)
+        options = ["--projection_tol=1e-11", "--projection_max_iter=7"]
+        assert main([*command, "--M=8", *options, f"--out={tmp_path}"]) == 0
+        settings = [(p.projection_tol, p.projection_max_iter) for _, p, _ in calls]
+        assert settings == [(1e-11, 7)] * runs
 
-        def fake_advance(u0, params, scheme, n_steps, **options):
-            calls.append(options)
+    @staticmethod
+    def _record_advance(monkeypatch, record):
+        """Replace the experiments' advance by one that records its scheme,
+        params and u0 and returns u0 at once."""
+
+        def fake_advance(u0, params, scheme, n_steps):
+            record.append((scheme, params, u0))
             return SimpleNamespace(u=u0), [], "ok"
 
         monkeypatch.setattr(experiments, "advance", fake_advance)
-        options = ["--projection_tol=1e-11", "--projection_max_iter=7"]
-        assert main([*command, "--M=8", *options, f"--out={tmp_path}"]) == 0
-        expected = dict(projection_tol=1e-11, projection_max_iter=7)
-        assert calls == [expected] * runs
+
+    def test_sweep_runs_the_configured_scheme(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NCH_THREADS", "1")
+        calls = []
+        self._record_advance(monkeypatch, calls)
+        args = ["--M=8", "--sigma-list=5,20", "--tau=0.1", "--T_final=0.5", f"--out={tmp_path}"]
+        assert main(["sweep", "--scheme=p-etd1", *args]) == 0
+        assert [scheme for scheme, _, _ in calls] == ["p-etd1", "p-etd1"]
+
+    def test_converge_takes_its_amplitude_from_the_initial_sine(self, tmp_path, monkeypatch):
+        # at M = 8 the mesh holds the crest of the sine, so max u0 = amplitude
+        calls = []
+        self._record_advance(monkeypatch, calls)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("M = 8\nT_final = 0.01\ninitial = sine(0.3)\n")
+        args = ["--tau-list=2e-3,1e-3", "--benchmark-tau=5e-4", f"--out={tmp_path}"]
+        assert main(["converge", str(cfg), *args]) == 0
+        assert [float(u0.max()) for _, _, u0 in calls] == [0.3] * 3
+        calls.clear()
+        assert main(["converge", str(cfg), *args, "--amplitude=0.2"]) == 0
+        assert [float(u0.max()) for _, _, u0 in calls] == [0.2] * 3
+
+    def test_converge_refuses_a_random_initial(self, tmp_path, capsys):
+        args = ["--M=8", "--T_final=0.01", "--tau-list=2e-3,1e-3", "--benchmark-tau=5e-4",
+                "--initial=random(0.2, 0.05, 1)", f"--out={tmp_path}"]
+        assert main(["converge", *args]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "nch: config error: initial must be sine(amplitude) for converge, "
+            "got random(0.2, 0.05, 1)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_nch_threads_is_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("NCH_THREADS", "abc")
+        args = ["--M=8", "--sigma-list=5,20", "--tau=0.1", "--T_final=0.5", f"--out={tmp_path}"]
+        assert main(["sweep", *args]) == 2
+        assert capsys.readouterr().err == (
+            "nch: config error: NCH_THREADS must be a positive integer, got 'abc'\n"
+        )
+
+    def test_run_tolerance_scales_with_the_area(self, tmp_path):
+        # an absolute 1e-13 cannot be met at L = 100, where the mass is
+        # O(1e3) and its roundoff O(1e-13)
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        out = tmp_path / "o"
+        args = ["--L=100", "--M=64", "--tau=0.1", "--T_final=2",
+                "--initial=random(0.2, 0.05, 1)", f"--output_dir={out}"]
+        assert main(["run", str(cfg), *args]) == 0
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        column = lines[0].split(",").index("mass_increment")
+        drift = max(abs(float(line.split(",")[column])) for line in lines[1:])
+        assert drift <= 1e-12 * 100.0**2
 
     @pytest.mark.parametrize(
         "error",

@@ -197,9 +197,9 @@ class TestSigmaSweep:
     def test_solver_error_names_the_sigma(self, monkeypatch, threads):
         # the error keeps its type and residual, also across the process pool
         monkeypatch.setenv("NCH_THREADS", threads)
-        params = ModelParams(M=32, tau=0.1, kappa=2.0)
+        params = ModelParams(M=32, tau=0.1, kappa=2.0, projection_max_iter=1)
         with pytest.raises(ProjectionConvergenceError, match="sigma=30") as info:
-            sigma_sweep([30.0, 70.0], params, T_final=2.0, seed=7, projection_max_iter=1)
+            sigma_sweep([30.0, 70.0], params, T_final=2.0, seed=7)
         assert info.value.residual > 0
         # the other sigma still runs, and its count comes with the error
         completed = info.value.completed

@@ -122,9 +122,7 @@ class TestProjectedSteps:
     def test_state_invariants_along_a_run(self):
         params = ModelParams(M=32, tau=0.1, kappa=2.0, sigma=30.0)
         u0 = random_initial(params.grid(), 0.2, 0.05, seed=3)
-        state, diagnostics, _ = advance(
-            u0, params, "p-etdrk2", 100, collect=True, with_energy=True
-        )
+        state, diagnostics, _ = advance(u0, params, "p-etdrk2", 100, collect=True)
         grid = params.grid()
         assert grid.norm_inf(state.u) <= params.bound
         assert grid.mass(state.u) == pytest.approx(state.initial_mass, rel=1e-12)
@@ -344,6 +342,22 @@ class TestRun:
         assert last.status == "blowup"
         assert np.isnan(last.energy)
         assert all(np.isfinite(d.energy) for d in result.diagnostics[:-1])
+
+
+def test_projection_tolerance_is_per_unit_area(monkeypatch):
+    # at L = 2 the solve may stop within projection_tol * L^2
+    import nch.stepper
+
+    tols = []
+
+    def recording_project(*args, tol, **kwargs):
+        tols.append(tol)
+        return project(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(nch.stepper, "project", recording_project)
+    params = ModelParams(L=2.0, M=8, tau=0.1, projection_tol=1e-12)
+    advance(random_initial(params.grid(), 0.2, 0.05, seed=1), params, "p-etdrk2", 2)
+    assert tols == [1e-12 * 4.0] * 4
 
 
 def test_thread_budget_env_override(monkeypatch):
