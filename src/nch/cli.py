@@ -69,14 +69,14 @@ def _cmd_converge(args, overrides) -> int:
             f"initial must be sine(amplitude) for converge, got {cfg.initial.render()}"
         )
     amplitude = cfg.initial.amplitude if args.amplitude is None else args.amplitude
+    params = cfg.model_params()
     tau_list = [float(t) for t in args.tau_list.split(",")]
+    benchmark_tau = float(args.benchmark_tau)
+    experiments.check_step_sizes(tau_list, benchmark_tau, cfg.T_final)  # before the reference run
+    study = dict(T_final=cfg.T_final, amplitude=amplitude)
+    reference = experiments.reference_field(params, benchmark_tau, **study)
     report = experiments.convergence_study(
-        cfg.scheme,
-        cfg.model_params(),
-        tau_list,
-        float(args.benchmark_tau),
-        T_final=cfg.T_final,
-        amplitude=amplitude,
+        cfg.scheme, params, tau_list, benchmark_tau, reference, **study
     )
     table = experiments.format_convergence_table(report)
     print(table, end="")
@@ -93,9 +93,10 @@ def _cmd_sweep(args, overrides) -> int:
     cfg = _load_config(args.config, overrides)
     sigma_list = [float(s) for s in args.sigma_list.split(",")]
     initial = cfg.initial
-    field = {}  # any initial but random(...) keeps sigma_sweep's default field
-    if initial.kind == "random":
-        field = dict(offset=initial.offset, amplitude=initial.amplitude)
+    if initial.kind != "random":
+        raise ConfigError(
+            f"initial must be random(offset, amplitude, seed) for sweep, got {initial.render()}"
+        )
     seed = args.seed if args.seed is not None else initial.seed
     out_dir = Path(args.out or cfg.output_dir or ".")
     try:
@@ -105,8 +106,9 @@ def _cmd_sweep(args, overrides) -> int:
             cfg.T_final,
             seed,
             scheme=cfg.scheme,
+            offset=initial.offset,
+            amplitude=initial.amplitude,
             threshold=cfg.structure_threshold,
-            **field,
         )
     except (SolverError, BlowupError) as exc:
         # keep the sigmas that completed; main() reports the failure

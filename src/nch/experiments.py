@@ -77,11 +77,36 @@ class ConvergenceReport:
         return [r.rate for r in self.rows if r.rate is not None]
 
 
+def check_step_sizes(tau_list: list[float], benchmark_tau: float, T_final: float) -> None:
+    """Refuse step sizes that are not strictly decreasing to above
+    benchmark_tau or not a whole number of steps to T_final."""
+    if any(b >= a for a, b in zip(tau_list, tau_list[1:])):
+        raise ValueError(f"tau values must be strictly decreasing, got {tau_list}")
+    if benchmark_tau >= min(tau_list):
+        raise ValueError(
+            f"benchmark tau {benchmark_tau} must be below min(tau_list) = {min(tau_list)}"
+        )
+    for tau in (benchmark_tau, *tau_list):
+        step_count(T_final, tau)
+
+
+def reference_field(
+    params: ModelParams, benchmark_tau: float, *, T_final: float, amplitude: float
+) -> Array:
+    """The fine-step benchmark solution of a convergence study: the field of
+    a BENCHMARK_SCHEME run at benchmark_tau from sine(amplitude) to T_final."""
+    u0 = sine_initial(params.grid(), amplitude)
+    n_steps = step_count(T_final, benchmark_tau)
+    run = f"tau={benchmark_tau:g}"
+    return _final_field(u0, replace(params, tau=benchmark_tau), BENCHMARK_SCHEME, n_steps, run)
+
+
 def convergence_study(
     scheme: str,
     params: ModelParams,
     tau_list: list[float],
     benchmark_tau: float,
+    reference: Array,
     *,
     T_final: float = 0.02,
     amplitude: float = 0.1,
@@ -89,30 +114,21 @@ def convergence_study(
     """Temporal convergence against a fine-step benchmark solution.
 
     Each step size runs from the same smooth initial field to T_final on the
-    same mesh, so the reported errors are purely temporal; the benchmark is
-    a BENCHMARK_SCHEME run at benchmark_tau.  Every run projects with the
-    tolerance and iteration budget of params.
+    same mesh, so the reported errors are purely temporal; reference is
+    the reference_field of the same params, benchmark_tau, T_final and
+    amplitude, which any number of schemes can share.  Every run projects
+    with the tolerance and iteration budget of params.
     """
-    if any(b >= a for a, b in zip(tau_list, tau_list[1:])):
-        raise ValueError(f"tau values must be strictly decreasing, got {tau_list}")
-    if benchmark_tau >= min(tau_list):
-        raise ValueError(
-            f"benchmark tau {benchmark_tau} must be below min(tau_list) = {min(tau_list)}"
-        )
+    check_step_sizes(tau_list, benchmark_tau, T_final)
     grid = params.grid()
     u0 = sine_initial(grid, amplitude)
-    steps = {tau: step_count(T_final, tau) for tau in (benchmark_tau, *tau_list)}
-
-    def final_field(run_scheme: str, tau: float) -> Array:
-        return _final_field(
-            u0, replace(params, tau=tau), run_scheme, steps[tau], f"tau={tau:g}"
-        )
-
-    reference = final_field(BENCHMARK_SCHEME, benchmark_tau)
     rows: list[ConvergenceRow] = []
     previous_error = None
     for tau in tau_list:
-        error = grid.norm2(final_field(scheme, tau) - reference)
+        u = _final_field(
+            u0, replace(params, tau=tau), scheme, step_count(T_final, tau), f"tau={tau:g}"
+        )
+        error = grid.norm2(u - reference)
         rate = None
         if previous_error is not None and error > 0:
             rate = math.log2(previous_error / error)

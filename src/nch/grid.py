@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,13 +29,6 @@ _FLOAT_FMT = "%.17g"
 
 #: default mass-residual tolerance of the projection, per unit area
 PROJECTION_TOL = 1e-13
-
-
-class VectorField(NamedTuple):
-    """x- and y-components of a discrete vector field on a shared mesh."""
-
-    x: Array
-    y: Array
 
 
 def roll_into(v: Array, shift: int, axis: int, out: Array, add: bool = False) -> None:
@@ -97,9 +89,6 @@ class Grid:
         x = (np.arange(self.M) + 1.0) * self.h
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
-    def zeros(self) -> Array:
-        return np.zeros((self.M, self.M))
-
     def check(self, v: Array, name: str = "field") -> Array:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.M, self.M):
@@ -125,18 +114,6 @@ class Grid:
         out -= 4.0 * v
         out /= self.h * self.h
         return out
-
-    def gradient(self, v: Array) -> VectorField:
-        """Forward-difference gradient with periodic wrap."""
-        v = np.ascontiguousarray(self.check(v))
-        parts = []
-        for axis in (0, 1):
-            part = np.empty_like(v)
-            roll_into(v, -1, axis, part)
-            part -= v
-            part /= self.h
-            parts.append(part)
-        return VectorField(*parts)
 
     # -- inner products and norms ----------------------------------------
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundViolationError
-from .grid import Grid, ModelParams, roll_into
+from .grid import Grid, ModelParams
 
 Array = np.ndarray
 
@@ -117,12 +117,10 @@ def operator_eigenvalues(params: ModelParams, symbol: Array | None = None) -> Ar
 class PhiTable:
     """Per-mode phi kernels evaluated at tau * ell, ready for apply_phi.
 
-    Every column holds the half spectrum, shape (M, M//2+1).  ell holds the
-    eigenvalues of the stiff linear operator; phi1m2 is the entrywise
-    difference phi1 - phi2 used by the second-order predictor.
+    Every column holds the half spectrum, shape (M, M//2+1); phi1m2 is the
+    entrywise difference phi1 - phi2 used by the second-order predictor.
     """
 
-    ell: Array
     phi0: Array
     phi1: Array
     phi2: Array
@@ -131,10 +129,9 @@ class PhiTable:
 
 def build_phi_table(params: ModelParams) -> PhiTable:
     half_symbol = laplace_symbol(params.grid())[:, : params.M // 2 + 1]
-    ell = operator_eigenvalues(params, half_symbol)
-    a = params.tau * ell
+    a = params.tau * operator_eigenvalues(params, half_symbol)
     p0, p1, p2 = phi0(a), phi1(a), phi2(a)
-    return PhiTable(ell=ell, phi0=p0, phi1=p1, phi2=p2, phi1m2=p1 - p2)
+    return PhiTable(phi0=p0, phi1=p1, phi2=p2, phi1m2=p1 - p2)
 
 
 def apply_phi(v: Array, column: Array) -> Array:
@@ -196,12 +193,15 @@ def nonlinear_F(u: Array, params: ModelParams) -> Array:
 
 
 @lru_cache(maxsize=16)
-def _nonlocal_root_weights_cached(M: int, L: float) -> Array:
-    # sqrt(1/(-d)) on the half spectrum, 0 at the zero mode; the columns 1
-    # .. ceil(M/2)-1 stand for their mirror images too, so they count twice
-    d = _symbol_cached(M, L)[:, : M // 2 + 1]
-    w = np.zeros_like(d)
-    np.divide(-1.0, d, out=w, where=d < 0)
+def _energy_root_weights_cached(M: int, L: float, epsilon: float, sigma: float) -> Array:
+    # sqrt of (L^2/M^4)/2 (eps^2 (-d) + sigma/(-d)), the interface plus
+    # nonlocal weight of each half-spectrum mode, 0 at the zero mode; the
+    # columns 1 .. ceil(M/2)-1 count twice, for their mirror images too
+    minus_d = -_symbol_cached(M, L)[:, : M // 2 + 1]
+    w = np.zeros_like(minus_d)
+    np.divide(sigma, minus_d, out=w, where=minus_d > 0)
+    w += epsilon**2 * minus_d
+    w *= 0.5 * L**2 / M**4
     w[:, 1 : (M + 1) // 2] *= 2.0
     np.sqrt(w, out=w)
     w.flags.writeable = False
@@ -221,23 +221,24 @@ def _sum_of_products(a: Array, b: Array) -> float:
 def energy(u: Array, params: ModelParams) -> float:
     """Discrete free energy.
 
-    Entropy and quadratic bulk terms integrated with weight h^2, forward
-    gradient for the interface term, and the nonlocal term evaluated
-    spectrally as sum_{(k,l) != (0,0)} |u_hat|^2 / (-d_kl) scaled per the
-    package Parseval convention (the zero mode carries u - mean(u) = 0, so
-    excluding it realizes the inverse Laplacian on mean-free fields).  The
-    sum runs over the half spectrum of one rfft2, each interior column
-    weighted twice for its mirror image.  Entries at exactly +-1 are
-    admitted through the x ln x -> 0 limit.
+    Entropy and quadratic bulk terms integrated with weight h^2; interface
+    and nonlocal terms from one rfft2.  Summation by parts turns the summed
+    squared forward differences into (h^2/M^2) sum (-d_kl) |u_hat|^2, and
+    the nonlocal term is sum_{(k,l) != (0,0)} |u_hat|^2 / (-d_kl) scaled
+    per the package Parseval convention (the zero mode carries
+    u - mean(u) = 0, so excluding it realizes the inverse Laplacian on
+    mean-free fields).  Both are one weighted sum over the half spectrum,
+    each interior column weighted twice for its mirror image.  Entries at
+    exactly +-1 are admitted through the x ln x -> 0 limit.
     """
     grid = params.grid()
     u = np.ascontiguousarray(grid.check(u))
     lo, hi = _require_inside_bound(u, 1.0, strict=False)
     inside = -1.0 < lo and hi < 1.0
 
-    # two work arrays of u's size, reused below: at M=128, two arrays of
-    # twice that size were mapped and unmapped by malloc on every call, at
-    # about 100 page faults
+    # two work arrays of u's size, reused by both sides: at M=128, two
+    # arrays of twice that size were mapped and unmapped by malloc on every
+    # call, at about 100 page faults
     side, logs = np.empty_like(u), np.empty_like(u)
     entropy = 0.0
     for one_side in (np.add, np.subtract):
@@ -253,18 +254,7 @@ def energy(u: Array, params: ModelParams) -> float:
         0.5 * params.theta * entropy - 0.5 * params.theta_c * _sum_of_products(u, u)
     )
 
-    # forward differences h * grad u along x and y, whose squares sum to
-    # h^2 |grad u|^2 without a factor
-    gradient_sq = 0.0
-    for axis, diff in enumerate((side, logs)):
-        roll_into(u, -1, axis, diff)
-        diff -= u
-        gradient_sq += _sum_of_products(diff, diff)
-    interface = 0.5 * params.epsilon**2 * gradient_sq
-
     spectrum = np.fft.rfft2(u)
-    spectrum *= _nonlocal_root_weights_cached(grid.M, grid.L)
+    spectrum *= _energy_root_weights_cached(grid.M, grid.L, params.epsilon, params.sigma)
     parts = spectrum.view(float)
-    nonlocal_sq = (grid.L**2 / grid.M**4) * _sum_of_products(parts, parts)
-
-    return bulk + interface + 0.5 * params.sigma * nonlocal_sq
+    return bulk + _sum_of_products(parts, parts)

@@ -162,6 +162,8 @@ def _project(
     if tol is None:
         tol = PROJECTION_TOL * grid.area
     utilde = grid.check(utilde)
+    if target_mass is None:
+        target_mass = grid.mass(utilde)
     cell = grid.h * grid.h
     shifted, u = np.empty_like(utilde), np.empty_like(utilde)
 
@@ -172,11 +174,6 @@ def _project(
 
     top, bottom = float(utilde.max()), float(utilde.min())
     total = clamped_sum(0.0)
-    if target_mass is None and -bound <= bottom and top <= bound:
-        # nothing clamps, so the probe's sum is the predictor's own
-        target_mass = cell * total
-    elif target_mass is None:
-        target_mass = grid.mass(utilde)
     f = cell * total - target_mass
     # all-clamped-low / all-clamped-high shifts bracket every root; the
     # probe is NaN or infinite whenever the target or an entry of utilde is

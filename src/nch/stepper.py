@@ -191,28 +191,6 @@ class _StepCore:
         return nxt, diag
 
 
-def etd1_predict(state: StepState, params: ModelParams) -> Array:
-    """First-order prediction; no bound guarantee on the output."""
-    core = _StepCore(params, "etd1")
-    return core.predict(*core.linear_and_forcing(state.u))
-
-
-def etdrk2_predict(state: StepState, u_mid: Array, params: ModelParams) -> Array:
-    """Second-order prediction from the current state and a midpoint stage."""
-    core = _StepCore(params, "etdrk2")
-    return core.predict(*core.linear_and_forcing(state.u), nonlinear_F(u_mid, params))
-
-
-def p_etd1_step(state: StepState, params: ModelParams) -> tuple[StepState, StepDiagnostics]:
-    """Projected first-order step."""
-    return _StepCore(params, "p-etd1").step(state)
-
-
-def p_etdrk2_step(state: StepState, params: ModelParams) -> tuple[StepState, StepDiagnostics]:
-    """Projected second-order step."""
-    return _StepCore(params, "p-etdrk2").step(state)
-
-
 # -- run loop ----------------------------------------------------------------
 
 

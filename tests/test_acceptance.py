@@ -17,11 +17,12 @@ from nch.experiments import (
     convergence_study,
     fit_loglog_slope,
     minority_structure_count,
+    reference_field,
     sigma_sweep,
 )
 from nch.operators import apply_phi, nonlinear_F
 from nch.projection import project
-from nch.stepper import advance, new_state, p_etd1_step, random_initial, sine_initial
+from nch.stepper import advance, random_initial, sine_initial
 from oracles import bisect_xi, dense_phi_apply, feasible_fields
 from test_operators import PHI_ORACLE
 
@@ -43,12 +44,12 @@ def report(criterion, text):
 def convergence_reports():
     """Both schemes against one shared fine-step benchmark."""
     params = ModelParams(**CONVERGENCE_SETUP)
-    reports = {}
-    for scheme in ("p-etd1", "p-etdrk2"):
-        reports[scheme] = convergence_study(
-            scheme, params, TAU_LIST, benchmark_tau=1e-6, T_final=T_CONV
-        )
-    return reports
+    study = dict(T_final=T_CONV, amplitude=0.1)
+    reference = reference_field(params, 1e-6, **study)
+    return {
+        scheme: convergence_study(scheme, params, TAU_LIST, 1e-6, reference, **study)
+        for scheme in ("p-etd1", "p-etdrk2")
+    }
 
 
 @pytest.fixture(scope="session")
@@ -196,7 +197,6 @@ def test_criterion_9_dense_eigendecomposition_oracle():
     params = ModelParams(**{**CONVERGENCE_SETUP, "M": 16}, tau=1e-4)
     grid = params.grid()
     u0 = sine_initial(grid, 0.1)
-    state = new_state(u0, params)
 
     f = nonlinear_F(u0, params)
     predictor_dense = dense_phi_apply(params, phi0, u0) + params.tau * dense_phi_apply(
@@ -204,7 +204,7 @@ def test_criterion_9_dense_eigendecomposition_oracle():
     )
     oracle = project(grid, predictor_dense, params.delta)
 
-    stepped, _ = p_etd1_step(state, params)
+    stepped, _, _ = advance(u0, params, "p-etd1", 1)
     gap = float(np.max(np.abs(stepped.u - oracle.u)))
     assert gap <= 1e-8
     report(9, f"one p-etd1 step vs dense eigendecomposition: max gap {gap:.2e}")

@@ -293,6 +293,7 @@ class TestCli:
                 "--tau=0.1",
                 "--T_final=0.5",
                 "--sigma-list=5,20",
+                "--initial=random(0.3, 0.05, 0)",
                 "--seed=3",
                 f"--out={out}",
             ]
@@ -307,7 +308,8 @@ class TestCli:
         # pool the error must also survive the trip back to the parent.
         # sigma=70 completes, and its row is kept, without a slope line
         monkeypatch.setenv("NCH_THREADS", threads)
-        args = ["--scheme=p-etdrk2", "--M=32", "--tau=0.1", "--T_final=2", "--sigma-list=30,70"]
+        args = ["--scheme=p-etdrk2", "--M=32", "--tau=0.1", "--T_final=2", "--sigma-list=30,70",
+                "--initial=random(0.3, 0.05, 0)"]
         code = main(["sweep", *args, "--projection_max_iter=1", f"--out={tmp_path}"])
         assert code == 3
         captured = capsys.readouterr()
@@ -323,7 +325,8 @@ class TestCli:
         "command, runs",
         [
             (["converge", "--tau-list=2e-3,1e-3", "--benchmark-tau=5e-4", "--T_final=0.01"], 3),
-            (["sweep", "--sigma-list=5,20", "--tau=0.1", "--T_final=0.5"], 2),
+            (["sweep", "--sigma-list=5,20", "--tau=0.1", "--T_final=0.5",
+              "--initial=random(0.3, 0.05, 0)"], 2),
         ],
     )
     def test_experiments_forward_projection_options(self, tmp_path, monkeypatch, command, runs):
@@ -350,7 +353,8 @@ class TestCli:
         monkeypatch.setenv("NCH_THREADS", "1")
         calls = []
         self._record_advance(monkeypatch, calls)
-        args = ["--M=8", "--sigma-list=5,20", "--tau=0.1", "--T_final=0.5", f"--out={tmp_path}"]
+        args = ["--M=8", "--sigma-list=5,20", "--tau=0.1", "--T_final=0.5",
+                "--initial=random(0.3, 0.05, 0)", f"--out={tmp_path}"]
         assert main(["sweep", "--scheme=p-etd1", *args]) == 0
         assert [scheme for scheme, _, _ in calls] == ["p-etd1", "p-etd1"]
 
@@ -378,9 +382,33 @@ class TestCli:
         )
         assert list(tmp_path.iterdir()) == []
 
+    def test_converge_refuses_a_bad_tau_list_before_any_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        self._record_advance(monkeypatch, calls)
+        args = ["--M=8", "--T_final=0.01", "--benchmark-tau=5e-4", f"--out={tmp_path}"]
+        for taus, error in (("1e-3,2e-3", "strictly decreasing"),
+                            ("1e-3,5e-4", "must be below min(tau_list)"),
+                            ("3e-3,1e-3", "not a whole number of steps of tau=0.003")):
+            assert main(["converge", *args, f"--tau-list={taus}"]) == 2
+            assert error in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_refuses_an_initial_that_is_not_random(self, tmp_path, capsys):
+        args = ["--M=16", "--tau=0.1", "--T_final=0.5", "--sigma-list=5,20",
+                "--initial=sine(0.5)", f"--out={tmp_path}"]
+        assert main(["sweep", *args]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "nch: config error: initial must be random(offset, amplitude, seed) for sweep, "
+            "got sine(0.5)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_nch_threads_is_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NCH_THREADS", "abc")
-        args = ["--M=8", "--sigma-list=5,20", "--tau=0.1", "--T_final=0.5", f"--out={tmp_path}"]
+        args = ["--M=8", "--sigma-list=5,20", "--tau=0.1", "--T_final=0.5",
+                "--initial=random(0.3, 0.05, 0)", f"--out={tmp_path}"]
         assert main(["sweep", *args]) == 2
         assert capsys.readouterr().err == (
             "nch: config error: NCH_THREADS must be a positive integer, got 'abc'\n"

@@ -6,6 +6,7 @@ from nch.errors import ProjectionConvergenceError
 from nch.experiments import (
     format_convergence_table,
     minority_structure_count,
+    reference_field,
     sigma_sweep,
     write_convergence_csv,
 )
@@ -134,8 +135,9 @@ class TestConvergenceStudy:
         params = ModelParams(
             epsilon=0.02, theta=0.8, theta_c=1.6, kappa=1.0, sigma=30.0, M=16
         )
+        reference = reference_field(params, 1e-5, T_final=4e-3, amplitude=0.1)
         report = convergence_study(
-            "p-etd1", params, [4e-4, 2e-4, 1e-4], 1e-5, T_final=4e-3
+            "p-etd1", params, [4e-4, 2e-4, 1e-4], 1e-5, reference, T_final=4e-3
         )
         errors = [r.l2_error for r in report.rows]
         assert errors == sorted(errors, reverse=True)
@@ -144,15 +146,17 @@ class TestConvergenceStudy:
 
     def test_validation(self):
         params = ModelParams(M=8)
+        reference = np.zeros((8, 8))
         with pytest.raises(ValueError, match="decreasing"):
-            convergence_study("p-etd1", params, [1e-4, 2e-4], 1e-6)
+            convergence_study("p-etd1", params, [1e-4, 2e-4], 1e-6, reference)
         with pytest.raises(ValueError, match="benchmark"):
-            convergence_study("p-etd1", params, [2e-4, 1e-4], 1e-4)
+            convergence_study("p-etd1", params, [2e-4, 1e-4], 1e-4, reference)
 
     def test_report_formatting_and_csv(self, tmp_path):
         params = ModelParams(M=8)
+        reference = reference_field(params, 1e-4, T_final=0.01, amplitude=0.1)
         report = convergence_study(
-            "p-etdrk2", params, [2e-3, 1e-3], 1e-4, T_final=0.01
+            "p-etdrk2", params, [2e-3, 1e-3], 1e-4, reference, T_final=0.01
         )
         table = format_convergence_table(report)
         assert "L2 Error" in table and "Rate" in table

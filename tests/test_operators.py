@@ -134,14 +134,14 @@ class TestPhiTable:
     def test_dc_mode_reduces_to_sigma(self):
         params = ModelParams(M=16, sigma=30.0, tau=0.01)
         table = build_phi_table(params)
-        assert table.ell[0, 0] == pytest.approx(30.0, rel=1e-15)
+        assert operator_eigenvalues(params)[0, 0] == pytest.approx(30.0, rel=1e-15)
         assert table.phi0[0, 0] == pytest.approx(np.exp(-0.01 * 30.0), rel=1e-14)
 
     def test_hand_evaluated_two_mode_case(self):
         params = ModelParams(epsilon=0.02, kappa=1.0, sigma=30.0, M=2, L=1.0)
-        table = build_phi_table(params)
         # h = 1/2: d(1,0) = -(4/h^2) sin^2(pi/2) = -16
-        assert table.ell[1, 0] == pytest.approx(0.02**2 * 256 + 16 + 30, rel=1e-14)
+        ell = operator_eigenvalues(params)
+        assert ell[1, 0] == pytest.approx(0.02**2 * 256 + 16 + 30, rel=1e-14)
 
     def test_eigenvalues_dominate_sigma(self):
         rng = np.random.default_rng(5)
@@ -152,8 +152,7 @@ class TestPhiTable:
                 kappa=rng.uniform(0.0, 3.0),
                 M=16,
             )
-            table = build_phi_table(params)
-            assert np.all(table.ell >= params.sigma)
+            assert np.all(operator_eigenvalues(params) >= params.sigma)
 
     def test_table_entry_ranges(self):
         params = ModelParams(M=16, tau=1e-3)  # arguments stay representable
@@ -169,6 +168,24 @@ class TestPhiTable:
         assert np.all(table.phi0 >= 0.0) and np.all(table.phi0 <= 1.0)
         for column in (table.phi1, table.phi2, table.phi1m2):
             assert np.all(column > 0.0) and np.all(column <= 1.0)
+
+
+def count_transforms(monkeypatch):
+    """Count the calls of numpy's 2-D and n-D transforms by name, from now on."""
+    calls = {}
+
+    def counted(name):
+        original = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    return calls
 
 
 def symmetric_table(rng, M):
@@ -200,19 +217,7 @@ class TestApplyPhi:
             assert np.array_equal(column, fn(full)[:, : M // 2 + 1])
 
     def test_one_etdrk2_step_runs_four_real_pairs(self, monkeypatch):
-        calls = {}
-
-        def counted(name):
-            original = getattr(np.fft, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2"):
-            monkeypatch.setattr(np.fft, name, counted(name))
+        calls = count_transforms(monkeypatch)
         params = ModelParams(M=16, tau=0.1)
         u0 = random_initial(params.grid(), 0.2, 0.05, 1)
         advance(u0, params, "p-etdrk2", 1)
@@ -345,14 +350,28 @@ class TestEnergy:
         with pytest.raises(BoundViolationError):
             energy(np.full((8, 8), 1.0 + 1e-12), ModelParams(M=8))
 
+    def test_makes_one_forward_transform(self, monkeypatch):
+        calls = count_transforms(monkeypatch)
+        params = ModelParams(M=16)
+        energy(random_initial(params.grid(), 0.2, 0.05, 1), params)
+        assert calls == {"rfft2": 1}
+
     @pytest.mark.parametrize("M", [1, 2, 3, 15, 16, 33])
     def test_matches_the_full_spectrum_sum(self, M):
         # only even M has a Nyquist column, which the half spectrum counts
-        # once; the alternating field lives on it
-        params = ModelParams(M=M, L=1.7, sigma=300.0)
-        rng = np.random.default_rng(M)
-        for u in (0.9 * rng.uniform(-1.0, 1.0, (M, M)), 0.5 * (-1.0) ** np.arange(M)):
-            u = np.broadcast_to(u, (M, M))
-            assert energy(u, params) == pytest.approx(
-                full_spectrum_energy(u, params), rel=1e-13
-            )
+        # once; the alternating field lives on it.  The oracle takes the
+        # interface term from rolled differences, not by summation by parts;
+        # at L = 1, epsilon = sigma = 0.1 that term dominates from M = 16 on
+        setups = (
+            dict(L=1.7, sigma=300.0),
+            dict(L=100.0, epsilon=0.1, sigma=0.1),
+            dict(L=1.0, epsilon=0.1, sigma=0.1),
+        )
+        for setup in setups:
+            params = ModelParams(M=M, **setup)
+            rng = np.random.default_rng(M)
+            for u in (0.9 * rng.uniform(-1.0, 1.0, (M, M)), 0.5 * (-1.0) ** np.arange(M)):
+                u = np.broadcast_to(u, (M, M))
+                assert energy(u, params) == pytest.approx(
+                    full_spectrum_energy(u, params), rel=1e-13
+                ), setup

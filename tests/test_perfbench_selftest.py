@@ -33,7 +33,8 @@ def test_perfbench_selftest_passes(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-SWEEP = ["sweep", "--M=16", "--tau=0.1", "--T_final=0.5", "--sigma-list=5,20", "--out=."]
+SWEEP = ["sweep", "--M=16", "--tau=0.1", "--T_final=0.5", "--sigma-list=5,20",
+         "--initial=random(0.3, 0.05, 0)", "--out=."]
 CONVERGE = ["converge", "--M=16", "--T_final=0.02", "--tau-list=2e-3,1e-3", "--benchmark-tau=5e-4",
             "--out=."]
 

@@ -6,16 +6,12 @@ from hypothesis import strategies as st
 from nch import ModelParams, SimulationConfig, parse_config, project
 from nch.errors import NonFiniteFieldError, SolverError
 from nch.experiments import thread_budget
-from nch.operators import apply_phi, operator_eigenvalues, phi0, phi1
+from nch.operators import apply_phi, nonlinear_F, operator_eigenvalues, phi0, phi1
 from nch.stepper import (
     _diagnostics,
     _StepCore,
     advance,
-    etd1_predict,
-    etdrk2_predict,
     new_state,
-    p_etd1_step,
-    p_etdrk2_step,
     random_initial,
     run,
     sine_initial,
@@ -30,18 +26,26 @@ def admissible_random_state(params, seed, scale=0.8):
     return new_state(u0, params)
 
 
+def predict(state, params, u_mid=None):
+    """The step core's order-1 prediction from state, or order 2 with the
+    midpoint stage u_mid."""
+    core = _StepCore(params, "etd1" if u_mid is None else "etdrk2")
+    f_mid = None if u_mid is None else nonlinear_F(u_mid, params)
+    return core.predict(*core.linear_and_forcing(state.u), f_mid)
+
+
 class TestPredictors:
     def test_constants_are_fixed_points_of_etd1(self):
         params = ModelParams(M=16, sigma=30.0, tau=1e-3)
         state = new_state(np.full((16, 16), 0.35), params)
-        utilde = etd1_predict(state, params)
+        utilde = predict(state, params)
         np.testing.assert_allclose(utilde, 0.35, rtol=0, atol=1e-13)
 
     def test_vanishing_step_returns_the_state(self):
         params = ModelParams(M=8, tau=1e-12)
         state = admissible_random_state(params, 0)
-        assert np.max(np.abs(etd1_predict(state, params) - state.u)) < 1e-5
-        assert np.max(np.abs(etdrk2_predict(state, state.u, params) - state.u)) < 1e-5
+        assert np.max(np.abs(predict(state, params) - state.u)) < 1e-5
+        assert np.max(np.abs(predict(state, params, state.u) - state.u)) < 1e-5
 
     def test_etd1_matches_frozen_integrand_quadrature(self):
         # With the nonlinearity reduced to its linear part, the predictor
@@ -69,14 +73,14 @@ class TestPredictors:
     def test_etdrk2_collapses_to_etd1_on_stationary_data(self):
         params = ModelParams(M=16, tau=1e-3)
         state = admissible_random_state(params, 1)
-        collapsed = etdrk2_predict(state, state.u, params)
-        reference = etd1_predict(state, params)
+        collapsed = predict(state, params, state.u)
+        reference = predict(state, params)
         np.testing.assert_allclose(collapsed, reference, rtol=1e-13, atol=1e-15)
 
     def test_etdrk2_constant_fixed_point(self):
         params = ModelParams(M=16, tau=1e-2)
         state = new_state(np.full((16, 16), -0.2), params)
-        utilde = etdrk2_predict(state, state.u, params)
+        utilde = predict(state, params, state.u)
         np.testing.assert_allclose(utilde, -0.2, rtol=0, atol=1e-13)
 
     def test_predictor_conserves_mass(self):
@@ -84,7 +88,7 @@ class TestPredictors:
         grid = params.grid()
         for seed in range(3):
             state = admissible_random_state(params, seed)
-            utilde = etd1_predict(state, params)
+            utilde = predict(state, params)
             assert abs(grid.mass(utilde) - grid.mass(state.u)) < 1e-11
 
 
@@ -92,8 +96,8 @@ class TestProjectedSteps:
     def test_admissible_constant_is_a_fixed_point(self):
         params = ModelParams(M=16, tau=0.1)
         state = new_state(np.full((16, 16), 0.5), params)
-        for step in (p_etd1_step, p_etdrk2_step):
-            nxt, diag = step(state, params)
+        for scheme in ("p-etd1", "p-etdrk2"):
+            nxt, diag = _StepCore(params, scheme).step(state)
             np.testing.assert_allclose(nxt.u, 0.5, rtol=0, atol=1e-13)
             assert diag.xi == pytest.approx(0.0, abs=1e-13)
             assert diag.lambda_sup == 0.0
@@ -205,7 +209,7 @@ def test_a_nan_entry_reaches_the_projection_as_a_solver_error():
     u0 = np.full((8, 8), 0.2)
     u0[3, 5] = np.nan
     with pytest.raises(NonFiniteFieldError, match="not finite"):
-        p_etd1_step(new_state(u0, params), params)
+        advance(u0, params, "p-etd1", 1)
     assert issubclass(NonFiniteFieldError, SolverError)
 
 
@@ -240,15 +244,15 @@ class TestClassicSteps:
 
     def test_etdrk2_midpoint_blowup_records_the_midpoint(self):
         params, prev, state = self._etdrk2_blowup(16, 2)
-        u_mid = etd1_predict(prev, params)
+        u_mid = predict(prev, params)
         assert np.max(np.abs(u_mid)) >= 1.0
         assert np.array_equal(state.u, u_mid)
 
     def test_etdrk2_final_stage_blowup_records_the_final_prediction(self):
         params, prev, state = self._etdrk2_blowup(8, 1)
-        u_mid = etd1_predict(prev, params)
+        u_mid = predict(prev, params)
         assert np.max(np.abs(u_mid)) < 1.0
-        assert np.array_equal(state.u, etdrk2_predict(prev, u_mid, params))
+        assert np.array_equal(state.u, predict(prev, params, u_mid))
 
     def test_projected_variants_survive_the_same_scenario(self):
         params = ModelParams(
