@@ -16,6 +16,6 @@ from .operators import (
     phi1,
     phi2,
 )
-from .projection import clamp_with_multiplier, mass_residual, project, solve_xi
+from .projection import clamp_with_multiplier, project
 
 __version__ = "0.1.0"

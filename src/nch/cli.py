@@ -12,6 +12,7 @@ of those that completed, without the slope, before it exits 3 or 4.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -134,6 +135,13 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nch",
@@ -155,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_conv.add_argument("--benchmark-tau", default="1e-6")
     p_conv.add_argument(
-        "--amplitude", type=float, default=None, help="overrides the a of initial = sine(a)"
+        "--amplitude", type=finite, default=None, help="overrides the a of initial = sine(a)"
     )
     p_conv.add_argument("--out", default=None, help="report directory")
 
@@ -167,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count structures in a snapshot file")
     p_count.add_argument("snapshot")
-    p_count.add_argument("--threshold", type=float, default=0.0)
+    p_count.add_argument("--threshold", type=finite, default=0.0)
 
     return parser
 

@@ -47,6 +47,12 @@ class InitialSpec:
     offset: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("amplitude", "offset"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{self.kind} {name} must be finite, got {value}")
+
     def render(self) -> str:
         if self.kind == "sine":
             return f"sine({self.amplitude!r})"
@@ -94,6 +100,10 @@ class SimulationConfig(ModelParams):
                 raise ValueError(
                     f"snapshot time {s} outside [0, T_final={self.T_final}]"
                 )
+        if not math.isfinite(self.structure_threshold):
+            raise ValueError(
+                f"structure_threshold must be finite, got {self.structure_threshold}"
+            )
         super().__post_init__()
 
     def model_params(self) -> ModelParams:

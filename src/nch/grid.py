@@ -27,9 +27,6 @@ Array = np.ndarray
 SNAPSHOT_MAGIC = "NCHGRID"
 _FLOAT_FMT = "%.17g"
 
-#: default mass-residual tolerance of the projection, per unit area
-PROJECTION_TOL = 1e-13
-
 
 def roll_into(v: Array, shift: int, axis: int, out: Array, add: bool = False) -> None:
     """out = np.roll(v, shift, axis), or out += it, for C-contiguous v and out.
@@ -162,7 +159,7 @@ class ModelParams:
     L: float = 1.0
     M: int = 128
     tau: float = 1e-4
-    projection_tol: float = PROJECTION_TOL
+    projection_tol: float = 1e-13
     projection_max_iter: int = 100
 
     def __post_init__(self) -> None:

@@ -138,21 +138,17 @@ def apply_phi(v: Array, column: Array) -> Array:
     """Apply a diagonal-in-Fourier operator: IDFT(column * DFT(v)).
 
     column is one real per-mode table symmetric under mode negation, given
-    either on the half spectrum, shape (M, M//2+1) like a PhiTable column,
-    or on the full (M, M) spectrum, whose first M//2+1 columns are used.
-    Costs one real-to-complex transform pair.
+    on the half spectrum, shape (M, M//2+1) like a PhiTable column.  Costs
+    one real-to-complex transform pair.
     """
     v = np.asarray(v, dtype=float)
     column = np.asarray(column, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"expected a square field, got shape {v.shape}")
-    M = v.shape[0]
-    if column.shape == v.shape:
-        column = column[:, : M // 2 + 1]
-    elif column.shape != (M, M // 2 + 1):
+    half = (v.shape[0], v.shape[0] // 2 + 1)
+    if column.shape != half:
         raise ValueError(
-            f"table shape {column.shape} matches neither the field shape {v.shape} "
-            f"nor its half spectrum {(M, M // 2 + 1)}"
+            f"table shape {column.shape} is not the half spectrum {half} of the field"
         )
     spectrum = np.fft.rfft2(v)
     spectrum *= column

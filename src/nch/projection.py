@@ -3,7 +3,7 @@
 The admissible set is {v : sup|v| <= 1 - delta, <v, 1> = target}.  The
 minimizer of 1/2 ||v - utilde||^2 over it is a pointwise clamp of
 utilde + xi at +-(1 - delta); the scalar shift xi is the root of the
-piecewise-linear, nondecreasing mass residual, which solve_xi finds by
+piecewise-linear, nondecreasing mass residual, which project finds by
 Newton steps on the clamp pattern.  The pointwise multiplier
 field lam >= 0 attached to the clamp makes the KKT system explicit for
 downstream checks:
@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleMassError, NonFiniteFieldError, ProjectionConvergenceError
-from .grid import PROJECTION_TOL, Grid
+from .grid import ModelParams
 
 Array = np.ndarray
 
@@ -32,7 +32,7 @@ class ProjectionResult:
     u           clamped field, sup|u| <= 1 - delta exactly
     xi          scalar mass multiplier
     iterations  residual evaluations after the xi = 0 probe (Newton steps
-                and bisections of solve_xi)
+                and bisections)
     sup_norm    max |u|
     mass        <u, 1>
     lambda_sup  max of lam
@@ -84,86 +84,33 @@ def clamp_with_multiplier(
     return u, lam
 
 
-def mass_residual(
-    grid: Grid, utilde: Array, xi: float, delta: float, target_mass: float
-) -> float:
-    """<clamp(utilde + xi), 1> - target_mass.
+def project(utilde: Array, params: ModelParams, target_mass: float) -> ProjectionResult:
+    """Project utilde onto {sup|v| <= params.bound, <v, 1> = target_mass}.
 
-    Piecewise linear and nondecreasing in xi, strictly increasing while any
-    entry is unclamped; saturates at +-L^2(1 - delta) - target_mass.
+    The result is the unique minimizer of the convex problem, at the root xi
+    of the mass residual <clamp(utilde + xi), 1> - target_mass.  The root is
+    found by Newton's method on the clamp pattern (Cominetti, Mascarenhas &
+    Silva, Math. Program. Comput. 6, 2014): on the pattern of the current
+    shift the residual is linear with slope h^2 * #{|utilde + xi| < bound},
+    so one Newton step lands on that pattern's exact root.  When the slope
+    is 0 or the step leaves the bracket built from the saturation shifts,
+    the bracket is bisected instead; the residual is monotone, so the
+    bracket never loses the root.  An iterate is accepted only when its
+    residual is exactly 0, or within params.projection_tol * L^2 at a Newton
+    landing, so the result carries no bias from stopping anywhere inside
+    the tolerance.  Raises ProjectionConvergenceError after
+    params.projection_max_iter iterations without one, NonFiniteFieldError,
+    before any iteration, for a NaN or infinite entry of utilde or target
+    mass, and InfeasibleMassError for a target outside
+    (-L^2 bound, L^2 bound).
     """
-    bound = 1.0 - delta
-    clamped = np.clip(np.asarray(utilde, dtype=float) + xi, -bound, bound)
-    return grid.h * grid.h * float(np.sum(clamped)) - target_mass
-
-
-def solve_xi(
-    grid: Grid,
-    utilde: Array,
-    delta: float,
-    target_mass: float,
-    tol: float | None = None,
-    max_iter: int = 100,
-) -> tuple[float, int, float]:
-    """Root of the mass residual; returns (xi, iterations, residual).
-
-    Newton's method on the clamp pattern (Cominetti, Mascarenhas & Silva,
-    Math. Program. Comput. 6, 2014): on the pattern of the current shift the
-    residual is linear with slope h^2 * #{|utilde + xi| < 1 - delta}, so one
-    Newton step lands on that pattern's exact root.  When the slope is 0 or
-    the step leaves the bracket built from the saturation shifts, the
-    bracket is bisected instead; the residual is monotone, so the bracket
-    never loses the root.  An iterate is accepted only when its residual is
-    exactly 0, or within tol at a Newton landing, so the result carries no
-    bias from stopping anywhere inside the tolerance.  Raises
-    ProjectionConvergenceError after max_iter iterations without one, and
-    NonFiniteFieldError, before any iteration, for a NaN or infinite entry
-    of utilde or target mass.
-    """
-    result, residual = _project(grid, utilde, delta, target_mass, tol, max_iter)
-    return result.xi, result.iterations, residual
-
-
-def project(
-    grid: Grid,
-    utilde: Array,
-    delta: float,
-    target_mass: float | None = None,
-    tol: float | None = None,
-    max_iter: int = 100,
-) -> ProjectionResult:
-    """Project a predicted field onto the admissible set.
-
-    target_mass defaults to the predictor's own mass <utilde, 1>, under
-    which an already-admissible field is returned unchanged with xi = 0 and
-    lam = 0.  The result is the unique minimizer of the convex problem, at
-    the shift solve_xi finds.
-    """
-    return _project(grid, utilde, delta, target_mass, tol, max_iter)[0]
-
-
-def _project(
-    grid: Grid,
-    utilde: Array,
-    delta: float,
-    target_mass: float | None,
-    tol: float | None,
-    max_iter: int,
-) -> tuple[ProjectionResult, float]:
     # Every residual evaluation writes s = utilde + xi and u = clamp(s) into
     # the same two arrays; the last one is the result.  Rounding is
     # monotone, so max s = fl(max utilde + xi), and the extremes of s give
     # sup|u| and max lam without another pass over the field.
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    bound = 1.0 - delta
-    if tol is None:
-        tol = PROJECTION_TOL * grid.area
+    grid = params.grid()
+    bound, tol = params.bound, params.projection_tol * grid.area
     utilde = grid.check(utilde)
-    if target_mass is None:
-        target_mass = grid.mass(utilde)
     cell = grid.h * grid.h
     shifted, u = np.empty_like(utilde), np.empty_like(utilde)
 
@@ -197,7 +144,7 @@ def _project(
             hi = min(hi, xi)
         else:
             lo = max(lo, xi)
-        if iterations == max_iter:
+        if iterations == params.projection_max_iter:
             raise ProjectionConvergenceError(
                 f"no Newton landing within tolerance {tol:.3e} after "
                 f"{iterations} iterations (mass residual {f:.3e})",
@@ -229,7 +176,7 @@ def _project(
     if low < -bound:
         clamped += np.count_nonzero(shifted < -bound)
         lambda_sup = max(lambda_sup, (-bound - low) / (2.0 * bound))
-    result = ProjectionResult(
+    return ProjectionResult(
         u=u,
         xi=xi,
         iterations=iterations,
@@ -238,6 +185,5 @@ def _project(
         lambda_sup=lambda_sup,
         clamped=clamped,
         utilde=utilde,
-        delta=delta,
+        delta=params.delta,
     )
-    return result, f

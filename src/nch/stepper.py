@@ -161,19 +161,11 @@ class _StepCore:
     ) -> tuple[Array, ProjectionResult | None]:
         if not self.projected:
             return utilde, None
-        params = self.params
-        result = project(
-            self.grid,
-            utilde,
-            params.delta,
-            target_mass=state.initial_mass,
-            tol=params.projection_tol * self.grid.area,
-            max_iter=params.projection_max_iter,
-        )
+        result = project(utilde, self.params, state.initial_mass)
         return result.u, result
 
     def step(self, state: StepState) -> tuple[StepState, StepDiagnostics]:
-        """One step; an unprojected stage past |u| >= 1 ends it as a blowup.
+        """One step; an unprojected stage not inside |u| < 1 ends it as a blowup.
 
         The order-2 midpoint is a full order-1 step with its own projection;
         diagnostics report the last projection's xi and lam.
@@ -186,7 +178,7 @@ class _StepCore:
         index = state.step_index + 1
         nxt = replace(state, u=u, t=index * self.params.tau, step_index=index)
         diag = _diagnostics(nxt, self.grid, proj)
-        if not self.projected and diag.sup_norm >= 1.0:
+        if not self.projected and not diag.sup_norm < 1.0:
             diag.status = "blowup"
         return nxt, diag
 

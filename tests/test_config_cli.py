@@ -79,6 +79,9 @@ class TestParse:
         assert rand == InitialSpec("random", 0.05, offset=0.2, seed=42)
         with pytest.raises(ConfigError):
             parse_config("initial = random(0.2)\n")
+        for text in ("sine(nan)", "sine(-inf)", "random(nan, 0.05, 1)", "random(0.2, inf, 1)"):
+            with pytest.raises(ConfigError, match="must be finite"):
+                parse_config(f"initial = {text}\n")
 
     def test_shipped_configs_parse(self):
         for name in ("convergence", "comparison", "coarsening", "sweep"):
@@ -197,6 +200,34 @@ class TestCli:
         out = tmp_path / "o"
         assert main(["run", str(cfg), f"--{key}=inf", f"--output_dir={out}"]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "comparison.cfg", "--scheme=etd1", "--initial=sine(nan)", "--T_final=0.3",
+             "--snapshot_times=", "--output_dir=OUT"],
+            ["sweep", "sweep.cfg", "--structure_threshold=nan", "--M=16", "--T_final=0.2",
+             "--sigma-list=30,70", "--out=OUT"],
+            ["converge", "convergence.cfg", "--amplitude=nan", "--M=16", "--T_final=2e-3",
+             "--tau-list=1e-3,5e-4", "--benchmark-tau=2.5e-4", "--out=OUT"],
+            ["count", "SNAPSHOT", "--threshold=nan"],
+        ],
+        ids=["run", "sweep", "converge", "count"],
+    )
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, command):
+        # a NaN offset, amplitude or threshold would run to a NaN field or
+        # count nothing
+        name, source, *args = command
+        out = tmp_path / "o"
+        if name == "count":
+            path = tmp_path / "zero.grid"
+            write_snapshot(path, Grid(8), np.zeros((8, 8)), t=0.0)
+        else:
+            path = REPO / "configs" / source
+        args = [a.replace("OUT", str(out)) for a in args]
+        assert main([name, str(path), *args]) == 2
+        assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_blowup_exits_4(self, tmp_path):

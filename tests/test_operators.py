@@ -127,7 +127,7 @@ class TestLaplaceSymbol:
         d = laplace_symbol(grid)
         rng = np.random.default_rng(0)
         v = rng.uniform(-1, 1, (64, 64))
-        assert np.max(np.abs(apply_phi(v, d) - grid.laplace(v))) < 1e-10
+        assert np.max(np.abs(apply_phi(v, d[:, :33]) - grid.laplace(v))) < 1e-10
 
 
 class TestPhiTable:
@@ -202,10 +202,9 @@ class TestApplyPhi:
         v = rng.uniform(-1.0, 1.0, (M, M))
         full = symmetric_table(rng, M)
         reference = complex_apply_phi(v, full)
-        for column in (full, full[:, : M // 2 + 1]):
-            out = apply_phi(v, column)
-            assert out.shape == (M, M)
-            assert np.max(np.abs(out - reference)) <= 1e-14 * np.max(np.abs(v))
+        out = apply_phi(v, full[:, : M // 2 + 1])
+        assert out.shape == (M, M)
+        assert np.max(np.abs(out - reference)) <= 1e-14 * np.max(np.abs(v))
 
     @pytest.mark.parametrize("M", [1, 2, 7, 16])
     def test_phi_table_holds_the_half_spectrum(self, M):
@@ -226,7 +225,7 @@ class TestApplyPhi:
     def test_identity_table(self):
         rng = np.random.default_rng(3)
         v = rng.uniform(-1, 1, (32, 32))
-        assert np.max(np.abs(apply_phi(v, np.ones((32, 32))) - v)) < 1e-13
+        assert np.max(np.abs(apply_phi(v, np.ones((32, 17))) - v)) < 1e-13
 
     def test_eigenvalue_table_matches_stencil_composition(self):
         params = ModelParams(epsilon=0.02, kappa=1.0, sigma=30.0, M=64)
@@ -234,7 +233,7 @@ class TestApplyPhi:
         X, Y = grid.mesh()
         v = np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y)
         ell = operator_eigenvalues(params)
-        via_table = apply_phi(v, ell)
+        via_table = apply_phi(v, ell[:, :33])
         lap = grid.laplace(v)
         via_stencil = (
             params.epsilon**2 * grid.laplace(lap) - params.kappa * lap + params.sigma * v
@@ -249,8 +248,9 @@ class TestApplyPhi:
         assert np.max(np.abs(apply_phi(v, table.phi0) - v)) < 1e-9
 
     def test_shape_mismatch_rejected(self):
-        # (8, 4) is a half spectrum without its Nyquist column
-        for shape in [(4, 4), (8, 4), (8, 6), (5, 8)]:
+        # (8, 4) is a half spectrum without its Nyquist column, (8, 8) the
+        # full spectrum
+        for shape in [(4, 4), (8, 4), (8, 6), (5, 8), (8, 8)]:
             with pytest.raises(ValueError, match="shape"):
                 apply_phi(np.ones((8, 8)), np.ones(shape))
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nch import ModelParams, SimulationConfig, parse_config, project
-from nch.errors import NonFiniteFieldError, SolverError
+from nch.errors import NonFiniteFieldError, ProjectionConvergenceError, SolverError
 from nch.experiments import thread_budget
 from nch.operators import apply_phi, nonlinear_F, operator_eigenvalues, phi0, phi1
 from nch.stepper import (
@@ -59,8 +59,9 @@ class TestPredictors:
         f_linear = -(params.theta_c + params.kappa) * grid.laplace(u0)
         ell = operator_eigenvalues(params)
 
-        via_phi = apply_phi(u0, phi0(params.tau * ell)) + params.tau * apply_phi(
-            f_linear, phi1(params.tau * ell)
+        half = params.tau * ell[:, : params.M // 2 + 1]
+        via_phi = apply_phi(u0, phi0(half)) + params.tau * apply_phi(
+            f_linear, phi1(half)
         )
 
         integral = gauss_legendre_exponential_integral(ell, params.tau)
@@ -190,7 +191,7 @@ def test_step_diagnostics_are_bitwise_those_of_the_projected_field(M, case):
     utilde = predicted_field(case, M, params.bound)
     state = new_state(np.full((M, M), 0.1), params)
     core = _StepCore(params, "p-etd1")
-    full = project(grid, utilde, params.delta, target_mass=state.initial_mass)
+    full = project(utilde, params, state.initial_mass)
     u, proj = core._correct(utilde, state)
     diag = _diagnostics(new_state(u, params), grid, proj)
     assert u.tobytes() == full.u.tobytes()
@@ -211,6 +212,19 @@ def test_a_nan_entry_reaches_the_projection_as_a_solver_error():
     with pytest.raises(NonFiniteFieldError, match="not finite"):
         advance(u0, params, "p-etd1", 1)
     assert issubclass(NonFiniteFieldError, SolverError)
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etdrk2"])
+def test_a_nan_field_ends_an_unprojected_run_as_a_blowup(scheme):
+    # sup|u| is NaN, which fails no comparison: the step must not read it
+    # as inside the bound
+    params = ModelParams(M=8, tau=0.1)
+    u0 = np.full((8, 8), 0.2)
+    u0[3, 5] = np.nan
+    state, diagnostics, status = advance(u0, params, scheme, 3, collect=True)
+    assert status == "blowup"
+    assert state.step_index == 1
+    assert diagnostics[-1].status == "blowup"
 
 
 class TestClassicSteps:
@@ -348,20 +362,12 @@ class TestRun:
         assert all(np.isfinite(d.energy) for d in result.diagnostics[:-1])
 
 
-def test_projection_tolerance_is_per_unit_area(monkeypatch):
+def test_projection_tolerance_is_per_unit_area():
     # at L = 2 the solve may stop within projection_tol * L^2
-    import nch.stepper
-
-    tols = []
-
-    def recording_project(*args, tol, **kwargs):
-        tols.append(tol)
-        return project(*args, tol=tol, **kwargs)
-
-    monkeypatch.setattr(nch.stepper, "project", recording_project)
-    params = ModelParams(L=2.0, M=8, tau=0.1, projection_tol=1e-12)
-    advance(random_initial(params.grid(), 0.2, 0.05, seed=1), params, "p-etdrk2", 2)
-    assert tols == [1e-12 * 4.0] * 4
+    params = ModelParams(L=2.0, M=4, projection_tol=1e-12, projection_max_iter=1)
+    u = 1.3 * np.random.default_rng(0).uniform(-1.0, 1.0, (4, 4))
+    with pytest.raises(ProjectionConvergenceError, match="tolerance 4.000e-12"):
+        project(u, params, 0.5)
 
 
 def test_thread_budget_env_override(monkeypatch):
