@@ -28,38 +28,6 @@ SNAPSHOT_MAGIC = "NCHGRID"
 _FLOAT_FMT = "%.17g"
 
 
-def roll_into(v: Array, shift: int, axis: int, out: Array, add: bool = False) -> None:
-    """out = np.roll(v, shift, axis), or out += it, for C-contiguous v and out.
-
-    Along axis 1 the whole array is taken as one flat block shifted by
-    `shift` entries, which is right for every entry but those of the
-    wrapped columns, and the wrapped columns are then redone from their
-    own values: numpy runs one contiguous block several times faster than
-    M strided row pieces.
-    """
-    n = v.shape[axis]
-    k = shift % n
-    if axis == 0:
-        _put(out[k:], v[: n - k], add)
-        _put(out[:k], v[n - k :], add)
-        return
-    if 2 * k > n:
-        k -= n  # the same roll, as a shift by fewer than n/2 entries
-    wrapped, source = (slice(0, k), slice(n - k, n)) if k >= 0 else (slice(n + k, n), slice(0, -k))
-    kept = out[:, wrapped].copy()
-    lo, hi = max(k, 0), v.size + min(k, 0)
-    _put(out.reshape(-1)[lo:hi], v.reshape(-1)[lo - k : hi - k], add)
-    out[:, wrapped] = kept
-    _put(out[:, wrapped], v[:, source], add)
-
-
-def _put(dst: Array, src: Array, add: bool) -> None:
-    if add:
-        dst += src
-    else:
-        dst[...] = src
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform M x M periodic mesh on the square of edge L."""
@@ -97,17 +65,9 @@ class Grid:
     # -- differential operators ------------------------------------------
 
     def laplace(self, v: Array) -> Array:
-        """Five-point periodic Laplacian.
-
-        The neighbours are added in the order of the rolled sum
-        roll(v, -1, 0) + roll(v, 1, 0) + roll(v, -1, 1) + roll(v, 1, 1),
-        so the result is bitwise that sum's, without the rolled copies.
-        """
-        v = np.ascontiguousarray(self.check(v))
-        out = np.empty_like(v)
-        roll_into(v, -1, 0, out)
-        for shift, axis in ((1, 0), (-1, 1), (1, 1)):
-            roll_into(v, shift, axis, out, add=True)
+        """Five-point periodic Laplacian."""
+        v = self.check(v)
+        out = np.roll(v, -1, 0) + np.roll(v, 1, 0) + np.roll(v, -1, 1) + np.roll(v, 1, 1)
         out -= 4.0 * v
         out /= self.h * self.h
         return out
@@ -230,11 +190,15 @@ def read_snapshot(path) -> tuple[Grid, Array, float]:
         if m is None:
             raise ValueError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot")
         M, L, t = int(m.group(1)), float(m.group(2)), float(m.group(3))
+        if not (math.isfinite(L) and math.isfinite(t)):
+            raise ValueError(f"{path}: header has a non-finite L={L} or t={t}")
         data = np.loadtxt(f, ndmin=2)
     if data.shape != (M, M):
         raise ValueError(
             f"{path}: data block has shape {data.shape}, header says M={M}"
         )
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: data block holds a non-finite entry")
     return Grid(M, L), np.ascontiguousarray(data.T), t
 
 

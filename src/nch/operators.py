@@ -107,9 +107,9 @@ def laplace_symbol(grid: Grid) -> Array:
     return _symbol_cached(grid.M, grid.L)
 
 
-def operator_eigenvalues(params: ModelParams, symbol: Array | None = None) -> Array:
+def operator_eigenvalues(params: ModelParams) -> Array:
     """Per-mode eigenvalues eps^2 d^2 - kappa d + sigma >= sigma > 0."""
-    d = laplace_symbol(params.grid()) if symbol is None else np.asarray(symbol)
+    d = laplace_symbol(params.grid())
     return params.epsilon**2 * d * d - params.kappa * d + params.sigma
 
 
@@ -128,8 +128,7 @@ class PhiTable:
 
 
 def build_phi_table(params: ModelParams) -> PhiTable:
-    half_symbol = laplace_symbol(params.grid())[:, : params.M // 2 + 1]
-    a = params.tau * operator_eigenvalues(params, half_symbol)
+    a = params.tau * operator_eigenvalues(params)[:, : params.M // 2 + 1]
     p0, p1, p2 = phi0(a), phi1(a), phi2(a)
     return PhiTable(phi0=p0, phi1=p1, phi2=p2, phi1m2=p1 - p2)
 
@@ -171,19 +170,28 @@ def _require_inside_bound(u: Array, limit: float, strict: bool) -> tuple[float, 
     return lo, hi
 
 
-def nonlinear_F(u: Array, params: ModelParams) -> Array:
-    """Stabilized nonlinear right-hand side.
+def chemical_potential(u: Array, params: ModelParams) -> Array:
+    """Stabilized chemical potential theta arctanh(u) - (theta_c + kappa) u.
 
-    (theta/2) Lap_h[ln(1+u) - ln(1-u)] - (theta_c + kappa) Lap_h u
-    + sigma * mean(u), requiring |u| < 1 strictly for the logarithms.
+    theta arctanh(u) = (theta/2)[ln(1+u) - ln(1-u)], so |u| < 1 is required
+    strictly for the logarithms.
     """
-    grid = params.grid()
-    u = grid.check(u)
+    u = params.grid().check(u)
     _require_inside_bound(u, 1.0, strict=True)
     chem = np.arctanh(u)
     chem *= params.theta
     chem -= (params.theta_c + params.kappa) * u
-    out = grid.laplace(chem)
+    return chem
+
+
+def nonlinear_F(u: Array, params: ModelParams) -> Array:
+    """Stabilized nonlinear right-hand side Lap_h[chem(u)] + sigma * mean(u).
+
+    The reference form of the forcing; the stepper applies Lap_h through
+    its phi kernels instead (see stepper).
+    """
+    grid = params.grid()
+    out = grid.laplace(chemical_potential(u, params))
     out += params.sigma * grid.mean(u)
     return out
 

@@ -2,29 +2,31 @@
 
 A scheme is a pair (order, projected).  Its step predicts, then, when
 projected, corrects.  The predictor integrates the stiff linear part exactly
-per Fourier mode and approximates the nonlinear integral: order 1 freezes
-the nonlinearity at the current state,
+per Fourier mode and approximates the integral of the forcing
+F(u) = Lap_h chem(u) + sigma mean(u), chem(u) = theta arctanh(u)
+- (theta_c + kappa) u: order 1 freezes it at the current state, order 2
+interpolates it linearly in time through the order-1 result u_mid.  Lap_h
+is diagonal in the Fourier basis of L too, with symbol d, so with
+a = tau L the predictors read
 
-    utilde = phi0(tau L) u + tau phi1(tau L) F(u),
+    utilde = phi0(a) u + tau d phi1(a) chem(u),
+    utilde = phi0(a) u + tau d [(phi1 - phi2)(a) chem(u) + phi2(a) chem(u_mid)].
 
-order 2 interpolates it linearly in time through the order-1 result as a
-midpoint stage,
-
-    utilde = phi0(tau L) u + tau [(phi1 - phi2)(tau L) F(u)
-                                  + phi2(tau L) F(u_mid)].
-
-The corrector projects each stage onto {sup|v| <= 1 - delta, <v, 1> = m0},
-m0 being the run's initial mass.  That restores the pointwise bound exactly
-and holds the mass at m0 to the projection tolerance in every step; the
-predictor conserves the mass only up to the roundoff of its spectral sums,
-which would otherwise accumulate.  The classic (unprojected) schemes are
-provided for comparison runs; they may leave the physical interval at the
-midpoint or at the end of a step, which is reported as a `blowup` and halts
-the run instead of feeding complex logarithms downstream.
+The mean term acts on the zero mode alone, where d = 0 and the exact flow
+keeps the mean, phi0(a) + a phi1(a) = 1 at a = tau sigma: there phi0 is set
+to 1 and the term drops (for order 2 this takes mean(u_mid) = mean(u)).
+So the predictor conserves the mass to the roundoff of the mean, and the
+corrector projects each stage onto {sup|v| <= 1 - delta, <v, 1> = m0}, m0
+being the run's initial mass.  That restores the pointwise bound exactly
+and holds the mass at m0 to the projection tolerance in every step.  The
+classic (unprojected) schemes are provided for comparison runs; they may
+leave the physical interval at the midpoint or at the end of a step, which
+is reported as a `blowup` and halts the run instead of feeding complex
+logarithms downstream.
 
 The step core is built once per run and holds the model parameters (the
 projection's tolerance and iteration budget among them), the grid and the
-phi table.  It calls the operators and the projection through
+four kernels.  It calls the operators and the projection through
 this module's names, so whatever replaces those names sees every call.
 """
 
@@ -39,7 +41,8 @@ import numpy as np
 
 from .config import SCHEMES, SimulationConfig, step_count
 from .grid import Grid, ModelParams, write_pgm, write_snapshot
-from .operators import apply_phi, build_phi_table, energy, nonlinear_F
+from .operators import apply_phi, build_phi_table, chemical_potential, energy
+from .operators import laplace_symbol
 from .projection import ProjectionResult, project
 
 Array = np.ndarray
@@ -136,23 +139,28 @@ class _StepCore:
             raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
         self.params = params
         self.grid = params.grid()
-        self.phi = build_phi_table(params)
         self.order = 2 if scheme.endswith("etdrk2") else 1
         self.projected = scheme.startswith("p-")
+        phi = build_phi_table(params)
+        tau_d = params.tau * laplace_symbol(self.grid)[:, : params.M // 2 + 1]
+        self.phi0 = phi.phi0.copy()
+        self.phi0[0, 0] = 1.0  # phi0(a) + a phi1(a) = 1 at a = tau sigma
+        self.d_phi1, self.d_phi1m2, self.d_phi2 = (
+            tau_d * phi.phi1, tau_d * phi.phi1m2, tau_d * phi.phi2
+        )
 
     def linear_and_forcing(self, u: Array) -> tuple[Array, Array]:
-        """phi0(tau L) u and F(u), shared by both stages of a step."""
-        f_n = nonlinear_F(u, self.params)
-        return apply_phi(u, self.phi.phi0), f_n
+        """phi0(tau L) u and chem(u), shared by both stages of a step."""
+        c_n = chemical_potential(u, self.params)
+        return apply_phi(u, self.phi0), c_n
 
-    def predict(self, exp_u: Array, f_n: Array, f_mid: Array | None = None) -> Array:
-        """Order-1 prediction, or order 2 with f_mid = F(u_mid) at the midpoint."""
-        if f_mid is None:
-            out = apply_phi(f_n, self.phi.phi1)
+    def predict(self, exp_u: Array, c_n: Array, c_mid: Array | None = None) -> Array:
+        """Order-1 prediction, or order 2 with c_mid = chem(u_mid) at the midpoint."""
+        if c_mid is None:
+            out = apply_phi(c_n, self.d_phi1)
         else:
-            out = apply_phi(f_n, self.phi.phi1m2)
-            out += apply_phi(f_mid, self.phi.phi2)
-        out *= self.params.tau
+            out = apply_phi(c_n, self.d_phi1m2)
+            out += apply_phi(c_mid, self.d_phi2)
         out += exp_u
         return out
 
@@ -170,11 +178,11 @@ class _StepCore:
         The order-2 midpoint is a full order-1 step with its own projection;
         diagnostics report the last projection's xi and lam.
         """
-        exp_u, f_n = self.linear_and_forcing(state.u)
-        u, proj = self._correct(self.predict(exp_u, f_n), state)
+        exp_u, c_n = self.linear_and_forcing(state.u)
+        u, proj = self._correct(self.predict(exp_u, c_n), state)
         if self.order == 2 and (self.projected or self.grid.norm_inf(u) < 1.0):
-            f_mid = nonlinear_F(u, self.params)
-            u, proj = self._correct(self.predict(exp_u, f_n, f_mid), state)
+            c_mid = chemical_potential(u, self.params)
+            u, proj = self._correct(self.predict(exp_u, c_n, c_mid), state)
         index = state.step_index + 1
         nxt = replace(state, u=u, t=index * self.params.tau, step_index=index)
         diag = _diagnostics(nxt, self.grid, proj)

@@ -14,6 +14,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import xlogy
 
+from nch.operators import apply_phi, build_phi_table, nonlinear_F
+
 
 def phi_series_fraction(a: Fraction, shift: int, terms: int = 30) -> float:
     """Exact-rational truncated series sum_j (-a)^j / (j+shift)!."""
@@ -107,6 +109,20 @@ def dense_phi_apply(params, fn, v):
     w, V = np.linalg.eigh(L)
     flat = V @ (fn(params.tau * w) * (V.T @ np.asarray(v, dtype=float).ravel()))
     return flat.reshape(params.M, params.M)
+
+
+def paper_form_predictor(params, u, u_mid=None):
+    """The predictor as the paper writes it, phi0(tau L) u + tau phi1(tau L) F(u),
+    or with the midpoint stage phi0(tau L) u + tau [(phi1 - phi2)(tau L) F(u)
+    + phi2(tau L) F(u_mid)]: F is the reference nonlinear_F, stencil and mean
+    term included, and the kernels are build_phi_table's."""
+    table = build_phi_table(params)
+    if u_mid is None:
+        forcing = apply_phi(nonlinear_F(u, params), table.phi1)
+    else:
+        forcing = apply_phi(nonlinear_F(u, params), table.phi1m2)
+        forcing += apply_phi(nonlinear_F(u_mid, params), table.phi2)
+    return apply_phi(u, table.phi0) + params.tau * forcing
 
 
 def roll_laplace(v, h):

@@ -230,6 +230,19 @@ class TestCli:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "L, t, entry",
+        [(1.0, 0.0, np.nan), (1.0, 0.0, np.inf), (np.inf, 0.0, 0.0), (1.0, np.nan, 0.0)],
+        ids=["nan-entry", "inf-entry", "L", "t"],
+    )
+    def test_count_refuses_a_non_finite_snapshot(self, tmp_path, capsys, L, t, entry):
+        # loadtxt parses nan and inf: a field of NaNs would count as no structure
+        path = tmp_path / "bad.grid"
+        write_snapshot(path, Grid(8, L), np.full((8, 8), entry), t)
+        assert main(["count", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "non-finite" in err
+
     def test_blowup_exits_4(self, tmp_path):
         cfg = tmp_path / "blow.cfg"
         cfg.write_text(

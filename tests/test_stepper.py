@@ -1,12 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nch import ModelParams, SimulationConfig, parse_config, project
+from nch import Grid, ModelParams, SimulationConfig, parse_config, project
+from nch import operators
+from nch.config import SCHEMES
 from nch.errors import NonFiniteFieldError, ProjectionConvergenceError, SolverError
 from nch.experiments import thread_budget
-from nch.operators import apply_phi, nonlinear_F, operator_eigenvalues, phi0, phi1
+from nch.operators import apply_phi, chemical_potential, operator_eigenvalues, phi0, phi1
 from nch.stepper import (
     _diagnostics,
     _StepCore,
@@ -16,7 +20,12 @@ from nch.stepper import (
     run,
     sine_initial,
 )
-from oracles import PREDICTED_CASES, gauss_legendre_exponential_integral, predicted_field
+from oracles import (
+    PREDICTED_CASES,
+    gauss_legendre_exponential_integral,
+    paper_form_predictor,
+    predicted_field,
+)
 
 
 def admissible_random_state(params, seed, scale=0.8):
@@ -30,8 +39,8 @@ def predict(state, params, u_mid=None):
     """The step core's order-1 prediction from state, or order 2 with the
     midpoint stage u_mid."""
     core = _StepCore(params, "etd1" if u_mid is None else "etdrk2")
-    f_mid = None if u_mid is None else nonlinear_F(u_mid, params)
-    return core.predict(*core.linear_and_forcing(state.u), f_mid)
+    c_mid = None if u_mid is None else chemical_potential(u_mid, params)
+    return core.predict(*core.linear_and_forcing(state.u), c_mid)
 
 
 class TestPredictors:
@@ -90,7 +99,46 @@ class TestPredictors:
         for seed in range(3):
             state = admissible_random_state(params, seed)
             utilde = predict(state, params)
-            assert abs(grid.mass(utilde) - grid.mass(state.u)) < 1e-11
+            assert abs(grid.mass(utilde) - grid.mass(state.u)) < 1e-15
+
+
+@given(
+    M=st.sampled_from([4, 7, 16, 31, 64]),
+    tau=st.floats(1e-5, 3.0),
+    L=st.floats(0.5, 4.0),
+    offset=st.floats(-0.5, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=50, deadline=None)
+def test_predictors_match_the_paper_form(M, tau, L, offset, seed):
+    # u and u_mid share their mean, as the stages of a step do, so the
+    # paper form's mean term keeps the zero mode there too
+    params = ModelParams(M=M, tau=tau, L=L)
+    spread = 0.5 * (0.9 - abs(offset))
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, M, M))
+    u, u_mid = (offset + spread * (r - r.mean()) for r in draws)
+    state = new_state(u, params)
+    for mid in (None, u_mid):
+        ref = paper_form_predictor(params, u, mid)
+        err = np.max(np.abs(predict(state, params, mid) - ref))
+        assert err <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_steps_take_the_laplacian_from_the_kernels(monkeypatch, scheme):
+    # the stencil and the reference forcing stay out of the step
+    def refuse(*args, **kwargs):
+        raise AssertionError("the step evaluated the stencil")
+
+    monkeypatch.setattr(Grid, "laplace", refuse)
+    reference = operators.nonlinear_F
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nch" and getattr(module, "nonlinear_F", None) is reference:
+            monkeypatch.setattr(module, "nonlinear_F", refuse)
+    params = ModelParams(M=16, tau=1e-3)
+    u0 = random_initial(params.grid(), 0.2, 0.05, seed=5)
+    _, _, status = advance(u0, params, scheme, 3, collect=True)
+    assert status == "ok"
 
 
 class TestProjectedSteps:
@@ -203,9 +251,9 @@ def test_step_diagnostics_are_bitwise_those_of_the_projected_field(M, case):
 
 
 def test_a_nan_entry_reaches_the_projection_as_a_solver_error():
-    # NaN passes the bound check of nonlinear_F, as no comparison fails on
-    # it, and the transforms spread it, so the projection's probe refuses
-    # the predictor: NonFiniteFieldError, a SolverError (CLI exit 3)
+    # NaN passes the bound check of chemical_potential, as no comparison
+    # fails on it, and the transforms spread it, so the projection's probe
+    # refuses the predictor: NonFiniteFieldError, a SolverError (CLI exit 3)
     params = ModelParams(M=8, tau=0.1)
     u0 = np.full((8, 8), 0.2)
     u0[3, 5] = np.nan
