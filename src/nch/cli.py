@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from . import experiments
-from .errors import BlowupError, ConfigError, SolverError
+from .errors import BlowupError, SolverError
 from .grid import read_snapshot
 from .stepper import run
 
@@ -65,20 +65,13 @@ def _cmd_run(args, overrides) -> int:
 
 def _cmd_converge(args, overrides) -> int:
     cfg = _load_config(args.config, overrides)
-    if cfg.initial.kind != "sine":
-        raise ConfigError(
-            f"initial must be sine(amplitude) for converge, got {cfg.initial.render()}"
-        )
-    amplitude = cfg.initial.amplitude if args.amplitude is None else args.amplitude
-    params = cfg.model_params()
+    if args.amplitude is not None:
+        cfg = replace(cfg, initial=replace(cfg.initial, amplitude=args.amplitude))
     tau_list = [float(t) for t in args.tau_list.split(",")]
     benchmark_tau = float(args.benchmark_tau)
     experiments.check_step_sizes(tau_list, benchmark_tau, cfg.T_final)  # before the reference run
-    study = dict(T_final=cfg.T_final, amplitude=amplitude)
-    reference = experiments.reference_field(params, benchmark_tau, **study)
-    report = experiments.convergence_study(
-        cfg.scheme, params, tau_list, benchmark_tau, reference, **study
-    )
+    reference = experiments.reference_field(cfg, benchmark_tau)
+    report = experiments.convergence_study(cfg, tau_list, benchmark_tau, reference)
     table = experiments.format_convergence_table(report)
     print(table, end="")
     out_dir = Path(args.out or cfg.output_dir or ".")
@@ -92,25 +85,12 @@ def _cmd_converge(args, overrides) -> int:
 
 def _cmd_sweep(args, overrides) -> int:
     cfg = _load_config(args.config, overrides)
+    if args.seed is not None:
+        cfg = replace(cfg, initial=replace(cfg.initial, seed=args.seed))
     sigma_list = [float(s) for s in args.sigma_list.split(",")]
-    initial = cfg.initial
-    if initial.kind != "random":
-        raise ConfigError(
-            f"initial must be random(offset, amplitude, seed) for sweep, got {initial.render()}"
-        )
-    seed = args.seed if args.seed is not None else initial.seed
     out_dir = Path(args.out or cfg.output_dir or ".")
     try:
-        results, slope = experiments.sigma_sweep(
-            sigma_list,
-            cfg.model_params(),
-            cfg.T_final,
-            seed,
-            scheme=cfg.scheme,
-            offset=initial.offset,
-            amplitude=initial.amplitude,
-            threshold=cfg.structure_threshold,
-        )
+        results, slope = experiments.sigma_sweep(sigma_list, cfg)
     except (SolverError, BlowupError) as exc:
         # keep the sigmas that completed; main() reports the failure
         _report_sweep(out_dir, exc.completed, None)

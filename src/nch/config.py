@@ -52,6 +52,8 @@ class InitialSpec:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{self.kind} {name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"{self.kind} seed must be non-negative, got {self.seed}")
 
     def render(self) -> str:
         if self.kind == "sine":
@@ -105,9 +107,6 @@ class SimulationConfig(ModelParams):
                 f"structure_threshold must be finite, got {self.structure_threshold}"
             )
         super().__post_init__()
-
-    def model_params(self) -> ModelParams:
-        return ModelParams(**{f.name: getattr(self, f.name) for f in fields(ModelParams)})
 
 
 def _parse_times(raw: str) -> tuple[float, ...]:

@@ -1,6 +1,10 @@
 """Experiment harness: temporal convergence tables, structure counting and
 the nonlocal-strength sweep.
 
+Each experiment takes the run's SimulationConfig and reads the model
+parameters, `scheme`, `T_final` and `initial` from it (the sweep also
+`structure_threshold`); a study needs a sine(...) initial, a sweep random(...).
+
 Runs within a sweep are independent; NCH_THREADS > 1 distributes them over a
 process pool, otherwise they execute inline in order.
 """
@@ -16,10 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .config import step_count
+from .config import SimulationConfig, step_count
 from .errors import BlowupError, SolverError
-from .grid import Grid, ModelParams
-from .stepper import advance, random_initial, sine_initial
+from .grid import Grid
+from .stepper import advance, initial_field
 
 Array = np.ndarray
 
@@ -38,10 +42,11 @@ def thread_budget() -> int:
     return os.cpu_count() or 1
 
 
-def _final_field(u0: Array, params: ModelParams, scheme: str, n_steps: int, run: str) -> Array:
-    """The field after n_steps of advance; errors name the run ("tau=...")."""
+def _final_field(u0: Array, config: SimulationConfig, n_steps: int, run: str) -> Array:
+    """The field after n_steps of config.scheme; errors name the run ("tau=...")."""
+    scheme = config.scheme
     try:
-        state, _, status = advance(u0, params, scheme, n_steps)
+        state, _, status = advance(u0, config, scheme, n_steps)
     except SolverError as exc:
         # same type and attributes, so it still crosses a process pool
         exc.args = (f"{scheme} run at {run}: {exc}", *exc.args[1:])
@@ -49,6 +54,12 @@ def _final_field(u0: Array, params: ModelParams, scheme: str, n_steps: int, run:
     if status != "ok":
         raise BlowupError(f"{scheme} run at {run} ended with status {status}")
     return state.u
+
+
+def _require_initial(config: SimulationConfig, form: str, command: str) -> None:
+    """Refuse an initial field of another kind than form, e.g. "sine(amplitude)"."""
+    if config.initial.kind != form.split("(", 1)[0]:
+        raise ValueError(f"initial must be {form} for {command}, got {config.initial.render()}")
 
 
 #: the scheme of every convergence study's fine-step reference solution
@@ -90,44 +101,39 @@ def check_step_sizes(tau_list: list[float], benchmark_tau: float, T_final: float
         step_count(T_final, tau)
 
 
-def reference_field(
-    params: ModelParams, benchmark_tau: float, *, T_final: float, amplitude: float
-) -> Array:
+def reference_field(config: SimulationConfig, benchmark_tau: float) -> Array:
     """The fine-step benchmark solution of a convergence study: the field of
-    a BENCHMARK_SCHEME run at benchmark_tau from sine(amplitude) to T_final."""
-    u0 = sine_initial(params.grid(), amplitude)
-    n_steps = step_count(T_final, benchmark_tau)
-    run = f"tau={benchmark_tau:g}"
-    return _final_field(u0, replace(params, tau=benchmark_tau), BENCHMARK_SCHEME, n_steps, run)
+    a BENCHMARK_SCHEME run at benchmark_tau from config.initial, which must
+    be sine(amplitude), to config.T_final.  config.scheme and config.tau are
+    not read."""
+    _require_initial(config, "sine(amplitude)", "converge")
+    u0 = initial_field(config, config.grid())
+    n_steps = step_count(config.T_final, benchmark_tau)
+    benchmark = replace(config, scheme=BENCHMARK_SCHEME, tau=benchmark_tau)
+    return _final_field(u0, benchmark, n_steps, f"tau={benchmark_tau:g}")
 
 
 def convergence_study(
-    scheme: str,
-    params: ModelParams,
-    tau_list: list[float],
-    benchmark_tau: float,
-    reference: Array,
-    *,
-    T_final: float = 0.02,
-    amplitude: float = 0.1,
+    config: SimulationConfig, tau_list: list[float], benchmark_tau: float, reference: Array
 ) -> ConvergenceReport:
-    """Temporal convergence against a fine-step benchmark solution.
+    """Temporal convergence of config.scheme against a fine-step benchmark.
 
-    Each step size runs from the same smooth initial field to T_final on the
-    same mesh, so the reported errors are purely temporal; reference is
-    the reference_field of the same params, benchmark_tau, T_final and
-    amplitude, which any number of schemes can share.  Every run projects
-    with the tolerance and iteration budget of params.
+    Each step size in tau_list runs from config.initial, which must be
+    sine(amplitude), to config.T_final on the same mesh, so the reported
+    errors are purely temporal; config.tau is not read.  reference is the
+    reference_field of the same config and benchmark_tau, which any number
+    of schemes can share.  Every run projects with the tolerance and
+    iteration budget of config.
     """
-    check_step_sizes(tau_list, benchmark_tau, T_final)
-    grid = params.grid()
-    u0 = sine_initial(grid, amplitude)
+    _require_initial(config, "sine(amplitude)", "converge")
+    check_step_sizes(tau_list, benchmark_tau, config.T_final)
+    grid = config.grid()
+    u0 = initial_field(config, grid)
     rows: list[ConvergenceRow] = []
     previous_error = None
     for tau in tau_list:
-        u = _final_field(
-            u0, replace(params, tau=tau), scheme, step_count(T_final, tau), f"tau={tau:g}"
-        )
+        n_steps = step_count(config.T_final, tau)
+        u = _final_field(u0, replace(config, tau=tau), n_steps, f"tau={tau:g}")
         error = grid.norm2(u - reference)
         rate = None
         if previous_error is not None and error > 0:
@@ -135,11 +141,11 @@ def convergence_study(
         rows.append(ConvergenceRow(tau=tau, l2_error=error, rate=rate))
         previous_error = error
     return ConvergenceReport(
-        scheme=scheme,
+        scheme=config.scheme,
         rows=tuple(rows),
         benchmark_tau=benchmark_tau,
-        M=params.M,
-        T_final=T_final,
+        M=config.M,
+        T_final=config.T_final,
     )
 
 
@@ -239,55 +245,39 @@ def minority_structure_count(grid: Grid, u: Array, threshold: float = 0.0) -> in
     return count_structures(u, threshold)
 
 
-def _sweep_one(
-    params: ModelParams, scheme, T_final, seed, offset, amplitude, threshold
-) -> StructureCount:
-    grid = params.grid()
-    u0 = random_initial(grid, offset, amplitude, seed)
-    n_steps = step_count(T_final, params.tau)
-    u = _final_field(u0, params, scheme, n_steps, f"sigma={params.sigma:g}")
+def _sweep_one(config: SimulationConfig) -> StructureCount:
+    grid = config.grid()
+    n_steps = step_count(config.T_final, config.tau)
+    u = _final_field(initial_field(config, grid), config, n_steps, f"sigma={config.sigma:g}")
     return StructureCount(
-        sigma=params.sigma,
-        count=minority_structure_count(grid, u, threshold),
-        threshold=threshold,
-        final_time=n_steps * params.tau,
+        sigma=config.sigma,
+        count=minority_structure_count(grid, u, config.structure_threshold),
+        threshold=config.structure_threshold,
+        final_time=n_steps * config.tau,
     )
 
 
 def sigma_sweep(
-    sigma_list: list[float],
-    params: ModelParams,
-    T_final: float,
-    seed: int,
-    *,
-    scheme: str = "p-etdrk2",
-    offset: float = 0.3,
-    amplitude: float = 0.05,
-    threshold: float = 0.0,
+    sigma_list: list[float], config: SimulationConfig
 ) -> tuple[list[StructureCount], float | None]:
     """Count equilibrium structures for each nonlocal strength.
 
-    Every run starts from the same seeded random field (the strength is the
-    only thing varied) and is evolved to T_final with the given scheme.
-    Returns the counts and the fitted log-log slope (None for a single-entry
-    list).  A run that fails does not stop the others: once all have ended,
-    the first failure in sigma order is raised, its `completed` attribute
-    holding the counts of the runs that did complete.
+    Every run is config with its sigma replaced: it starts from the seeded
+    field config.initial, which must be random(offset, amplitude, seed), and
+    evolves to config.T_final with config.scheme, and its structures are
+    counted at config.structure_threshold.  Returns the counts and the
+    fitted log-log slope (None for a single-entry list).  A run that fails
+    does not stop the others: once all have ended, the first failure in
+    sigma order is raised, its `completed` attribute holding the counts of
+    the runs that did complete.
     """
+    _require_initial(config, "random(offset, amplitude, seed)", "sweep")
     if any(s <= 0 for s in sigma_list):
         raise ValueError(f"sigma values must be positive, got {sigma_list}")
     if any(b <= a for a, b in zip(sigma_list, sigma_list[1:])):
         raise ValueError(f"sigma values must be strictly increasing, got {sigma_list}")
-    jobs = [replace(params, sigma=float(s)) for s in sigma_list]
-    one = partial(
-        _sweep_one,
-        scheme=scheme,
-        T_final=T_final,
-        seed=seed,
-        offset=offset,
-        amplitude=amplitude,
-        threshold=threshold,
-    )
+    step_count(config.T_final, config.tau)  # refused here, not once per run
+    jobs = [replace(config, sigma=float(s)) for s in sigma_list]
     workers = min(thread_budget(), len(jobs))
     if workers > 1:
         # imported here: only a pooled sweep needs it, and it costs every
@@ -295,10 +285,10 @@ def sigma_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(one, job) for job in jobs]
+            futures = [pool.submit(_sweep_one, job) for job in jobs]
             outcomes = [_settled(future.result) for future in futures]
     else:
-        outcomes = [_settled(partial(one, job)) for job in jobs]
+        outcomes = [_settled(partial(_sweep_one, job)) for job in jobs]
     results = [o for o in outcomes if isinstance(o, StructureCount)]
     failures = [o for o in outcomes if not isinstance(o, StructureCount)]
     if failures:

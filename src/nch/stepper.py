@@ -277,11 +277,10 @@ def run(config: SimulationConfig, pgm: bool = False) -> RunResult:
     a normal documented outcome reported through the returned status, not an
     exception.
     """
-    params = config.model_params()
-    grid = params.grid()
+    grid = config.grid()
     u0 = initial_field(config, grid)
-    n_steps = step_count(config.T_final, params.tau)
-    snapshot_steps = {step_count(s, params.tau): s for s in config.snapshot_times}
+    n_steps = step_count(config.T_final, config.tau)
+    snapshot_steps = {step_count(s, config.tau): s for s in config.snapshot_times}
 
     out_dir = Path(config.output_dir) if config.output_dir else None
     snapshot_paths: list[Path] = []
@@ -299,7 +298,7 @@ def run(config: SimulationConfig, pgm: bool = False) -> RunResult:
             write_pgm(path.with_suffix(".pgm"), state.u)
 
     state, diagnostics, status = advance(
-        u0, params, config.scheme, n_steps, collect=True, on_step=on_step
+        u0, config, config.scheme, n_steps, collect=True, on_step=on_step
     )
 
     csv_path = None

@@ -8,11 +8,13 @@ of failing, systematic ones fail.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nch import ModelParams, laplace_symbol, phi0, phi1, phi2
+from nch import ModelParams, SimulationConfig, laplace_symbol, phi0, phi1, phi2
+from nch.config import InitialSpec
 from nch.experiments import (
     convergence_study,
     fit_loglog_slope,
@@ -43,11 +45,10 @@ def report(criterion, text):
 @pytest.fixture(scope="session")
 def convergence_reports():
     """Both schemes against one shared fine-step benchmark."""
-    params = ModelParams(**CONVERGENCE_SETUP)
-    study = dict(T_final=T_CONV, amplitude=0.1)
-    reference = reference_field(params, 1e-6, **study)
+    config = SimulationConfig(**CONVERGENCE_SETUP, T_final=T_CONV, initial=InitialSpec("sine", 0.1))
+    reference = reference_field(config, 1e-6)
     return {
-        scheme: convergence_study(scheme, params, TAU_LIST, 1e-6, reference, **study)
+        scheme: convergence_study(replace(config, scheme=scheme), TAU_LIST, 1e-6, reference)
         for scheme in ("p-etd1", "p-etdrk2")
     }
 
@@ -238,10 +239,11 @@ def test_criterion_10_energy_decrease_soft():
 
 
 def test_criterion_11_sigma_scaling():
-    params = ModelParams(
-        epsilon=0.02, theta=0.8, theta_c=1.6, delta=0.05, kappa=2.0, M=256, tau=0.1
+    config = SimulationConfig(
+        epsilon=0.02, theta=0.8, theta_c=1.6, delta=0.05, kappa=2.0, M=256, tau=0.1,
+        scheme="p-etdrk2", T_final=500.0, initial=InitialSpec("random", 0.05, offset=0.3, seed=7),
     )
-    results, slope = sigma_sweep([10.0, 30.0, 70.0], params, T_final=500.0, seed=7)
+    results, slope = sigma_sweep([10.0, 30.0, 70.0], config)
     counts = [r.count for r in results]
     assert counts[0] < counts[1] < counts[2], f"counts not increasing: {counts}"
     assert slope is not None and 0.45 <= slope <= 0.9, f"slope {slope} out of window"

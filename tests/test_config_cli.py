@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nch import ConfigError, Grid, parse_config, render_config, write_snapshot
+from nch import ConfigError, Grid, ModelParams, parse_config, render_config, write_snapshot
 from nch import errors, experiments
 from nch.cli import _build_parser, main
 from nch.config import CONFIG_KEYS, InitialSpec, SimulationConfig
@@ -82,12 +82,14 @@ class TestParse:
         for text in ("sine(nan)", "sine(-inf)", "random(nan, 0.05, 1)", "random(0.2, inf, 1)"):
             with pytest.raises(ConfigError, match="must be finite"):
                 parse_config(f"initial = {text}\n")
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            parse_config("initial = random(0.2, 0.05, -1)\n")
 
     def test_shipped_configs_parse(self):
         for name in ("convergence", "comparison", "coarsening", "sweep"):
             text = (REPO / "configs" / f"{name}.cfg").read_text()
             cfg = parse_config(text)
-            assert cfg.model_params() is not None
+            assert isinstance(cfg, ModelParams)
 
     def test_convergence_config_reproduces_table_parameters(self):
         cfg = parse_config((REPO / "configs" / "convergence.cfg").read_text())

@@ -1,7 +1,18 @@
+import concurrent.futures
+import re
+
 import numpy as np
 import pytest
 
-from nch import ModelParams, convergence_study, count_structures, fit_loglog_slope
+from nch import (
+    ModelParams,
+    SimulationConfig,
+    convergence_study,
+    count_structures,
+    experiments,
+    fit_loglog_slope,
+)
+from nch.config import InitialSpec
 from nch.errors import ProjectionConvergenceError
 from nch.experiments import (
     format_convergence_table,
@@ -132,32 +143,33 @@ class TestConvergenceStudy:
         assert params.grid().norm2(a.u - b.u) == 0.0
 
     def test_small_study_orders(self):
-        params = ModelParams(
-            epsilon=0.02, theta=0.8, theta_c=1.6, kappa=1.0, sigma=30.0, M=16
+        config = SimulationConfig(
+            epsilon=0.02, theta=0.8, theta_c=1.6, kappa=1.0, sigma=30.0, M=16,
+            scheme="p-etd1", T_final=4e-3, initial=InitialSpec("sine", 0.1),
         )
-        reference = reference_field(params, 1e-5, T_final=4e-3, amplitude=0.1)
-        report = convergence_study(
-            "p-etd1", params, [4e-4, 2e-4, 1e-4], 1e-5, reference, T_final=4e-3
-        )
+        reference = reference_field(config, 1e-5)
+        report = convergence_study(config, [4e-4, 2e-4, 1e-4], 1e-5, reference)
         errors = [r.l2_error for r in report.rows]
         assert errors == sorted(errors, reverse=True)
         assert all(0.5 < rate < 1.5 for rate in report.rates)
         assert report.rows[0].rate is None
 
     def test_validation(self):
-        params = ModelParams(M=8)
+        config = SimulationConfig(
+            M=8, scheme="p-etd1", T_final=0.02, initial=InitialSpec("sine", 0.1)
+        )
         reference = np.zeros((8, 8))
         with pytest.raises(ValueError, match="decreasing"):
-            convergence_study("p-etd1", params, [1e-4, 2e-4], 1e-6, reference)
+            convergence_study(config, [1e-4, 2e-4], 1e-6, reference)
         with pytest.raises(ValueError, match="benchmark"):
-            convergence_study("p-etd1", params, [2e-4, 1e-4], 1e-4, reference)
+            convergence_study(config, [2e-4, 1e-4], 1e-4, reference)
 
     def test_report_formatting_and_csv(self, tmp_path):
-        params = ModelParams(M=8)
-        reference = reference_field(params, 1e-4, T_final=0.01, amplitude=0.1)
-        report = convergence_study(
-            "p-etdrk2", params, [2e-3, 1e-3], 1e-4, reference, T_final=0.01
+        config = SimulationConfig(
+            M=8, scheme="p-etdrk2", T_final=0.01, initial=InitialSpec("sine", 0.1)
         )
+        reference = reference_field(config, 1e-4)
+        report = convergence_study(config, [2e-3, 1e-3], 1e-4, reference)
         table = format_convergence_table(report)
         assert "L2 Error" in table and "Rate" in table
         path = tmp_path / "report.csv"
@@ -181,19 +193,25 @@ class TestSlopeFit:
         assert fit_loglog_slope([10.0, 30.0], [0, 5]) is None
 
 
+def sweep_config(T_final, seed, **params):
+    """A p-etdrk2 sweep from random(0.3, 0.05, seed), counted at threshold 0."""
+    initial = InitialSpec("random", 0.05, offset=0.3, seed=seed)
+    return SimulationConfig(scheme="p-etdrk2", T_final=T_final, initial=initial, **params)
+
+
 class TestSigmaSweep:
     def test_toy_sweep_structure(self, monkeypatch):
         monkeypatch.setenv("NCH_THREADS", "1")
-        params = ModelParams(M=16, tau=0.1, kappa=2.0)
-        results, slope = sigma_sweep([5.0, 20.0], params, T_final=1.0, seed=3)
+        config = sweep_config(1.0, 3, M=16, tau=0.1, kappa=2.0)
+        results, slope = sigma_sweep([5.0, 20.0], config)
         assert [r.sigma for r in results] == [5.0, 20.0]
         assert all(r.count >= 0 for r in results)
         assert all(r.final_time == pytest.approx(1.0) for r in results)
 
     def test_single_sigma_has_no_slope(self, monkeypatch):
         monkeypatch.setenv("NCH_THREADS", "1")
-        params = ModelParams(M=16, tau=0.1, kappa=2.0)
-        results, slope = sigma_sweep([5.0], params, T_final=0.5, seed=3)
+        config = sweep_config(0.5, 3, M=16, tau=0.1, kappa=2.0)
+        results, slope = sigma_sweep([5.0], config)
         assert len(results) == 1
         assert slope is None
 
@@ -201,9 +219,9 @@ class TestSigmaSweep:
     def test_solver_error_names_the_sigma(self, monkeypatch, threads):
         # the error keeps its type and residual, also across the process pool
         monkeypatch.setenv("NCH_THREADS", threads)
-        params = ModelParams(M=32, tau=0.1, kappa=2.0, projection_max_iter=1)
+        config = sweep_config(2.0, 7, M=32, tau=0.1, kappa=2.0, projection_max_iter=1)
         with pytest.raises(ProjectionConvergenceError, match="sigma=30") as info:
-            sigma_sweep([30.0, 70.0], params, T_final=2.0, seed=7)
+            sigma_sweep([30.0, 70.0], config)
         assert info.value.residual > 0
         # the other sigma still runs, and its count comes with the error
         completed = info.value.completed
@@ -211,8 +229,48 @@ class TestSigmaSweep:
         assert completed[0].count > 0 and completed[0].final_time == pytest.approx(2.0)
 
     def test_validation(self):
-        params = ModelParams(M=8)
+        config = sweep_config(1.0, 0, M=8)
         with pytest.raises(ValueError, match="positive"):
-            sigma_sweep([-1.0, 2.0], params, 1.0, 0)
+            sigma_sweep([-1.0, 2.0], config)
         with pytest.raises(ValueError, match="increasing"):
-            sigma_sweep([5.0, 2.0], params, 1.0, 0)
+            sigma_sweep([5.0, 2.0], config)
+
+    def test_pooled_and_inline_sweeps_agree(self, monkeypatch):
+        config = sweep_config(1.0, 3, M=16, tau=0.1, kappa=2.0)
+        sweeps = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NCH_THREADS", threads)
+            sweeps[threads] = sigma_sweep([5.0, 20.0], config)
+        assert sweeps["1"] == sweeps["2"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_horizon_between_steps_is_refused_before_any_run(self, monkeypatch, threads):
+        monkeypatch.setenv("NCH_THREADS", threads)
+        calls = []
+        monkeypatch.setattr(experiments, "advance", lambda *args: calls.append("advance"))
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", lambda **kw: calls.append("pool")
+        )
+        with pytest.raises(ValueError, match="not a whole number of steps of tau=0.1"):
+            sigma_sweep([5.0, 20.0], sweep_config(0.15, 0, M=8, tau=0.1))
+        assert calls == []
+
+
+class TestInitialKind:
+    """The experiments refuse an initial field of the other kind with the
+    text the CLI prints."""
+
+    def test_sweep_needs_a_random_initial(self):
+        config = SimulationConfig(M=8, tau=0.1, T_final=0.5, initial=InitialSpec("sine", 0.5))
+        message = "initial must be random(offset, amplitude, seed) for sweep, got sine(0.5)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sigma_sweep([5.0, 20.0], config)
+
+    def test_convergence_needs_a_sine_initial(self):
+        initial = InitialSpec("random", 0.05, offset=0.2, seed=1)
+        config = SimulationConfig(M=8, T_final=0.01, initial=initial)
+        message = "initial must be sine(amplitude) for converge, got random(0.2, 0.05, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reference_field(config, 5e-4)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            convergence_study(config, [2e-3, 1e-3], 5e-4, np.zeros((8, 8)))
