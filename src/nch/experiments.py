@@ -23,7 +23,7 @@ import numpy as np
 from .config import SimulationConfig, step_count
 from .errors import BlowupError, SolverError
 from .grid import Grid
-from .stepper import advance, initial_field
+from .stepper import StepState, advance, initial_field
 
 Array = np.ndarray
 
@@ -42,9 +42,12 @@ def thread_budget() -> int:
     return os.cpu_count() or 1
 
 
-def _final_field(u0: Array, config: SimulationConfig, n_steps: int, run: str) -> Array:
-    """The field after n_steps of config.scheme; errors name the run ("tau=...")."""
+def _final_state(config: SimulationConfig, run: str) -> StepState:
+    """The state at config.T_final of config.scheme from config.initial;
+    errors name the run ("tau=...")."""
     scheme = config.scheme
+    u0 = initial_field(config, config.grid())
+    n_steps = step_count(config.T_final, config.tau)
     try:
         state, _, status = advance(u0, config, scheme, n_steps)
     except SolverError as exc:
@@ -53,7 +56,7 @@ def _final_field(u0: Array, config: SimulationConfig, n_steps: int, run: str) ->
         raise
     if status != "ok":
         raise BlowupError(f"{scheme} run at {run} ended with status {status}")
-    return state.u
+    return state
 
 
 def _require_initial(config: SimulationConfig, form: str, command: str) -> None:
@@ -107,10 +110,8 @@ def reference_field(config: SimulationConfig, benchmark_tau: float) -> Array:
     be sine(amplitude), to config.T_final.  config.scheme and config.tau are
     not read."""
     _require_initial(config, "sine(amplitude)", "converge")
-    u0 = initial_field(config, config.grid())
-    n_steps = step_count(config.T_final, benchmark_tau)
     benchmark = replace(config, scheme=BENCHMARK_SCHEME, tau=benchmark_tau)
-    return _final_field(u0, benchmark, n_steps, f"tau={benchmark_tau:g}")
+    return _final_state(benchmark, f"tau={benchmark_tau:g}").u
 
 
 def convergence_study(
@@ -122,18 +123,15 @@ def convergence_study(
     sine(amplitude), to config.T_final on the same mesh, so the reported
     errors are purely temporal; config.tau is not read.  reference is the
     reference_field of the same config and benchmark_tau, which any number
-    of schemes can share.  Every run projects with the tolerance and
-    iteration budget of config.
+    of schemes can share.
     """
     _require_initial(config, "sine(amplitude)", "converge")
     check_step_sizes(tau_list, benchmark_tau, config.T_final)
     grid = config.grid()
-    u0 = initial_field(config, grid)
     rows: list[ConvergenceRow] = []
     previous_error = None
     for tau in tau_list:
-        n_steps = step_count(config.T_final, tau)
-        u = _final_field(u0, replace(config, tau=tau), n_steps, f"tau={tau:g}")
+        u = _final_state(replace(config, tau=tau), f"tau={tau:g}").u
         error = grid.norm2(u - reference)
         rate = None
         if previous_error is not None and error > 0:
@@ -246,14 +244,12 @@ def minority_structure_count(grid: Grid, u: Array, threshold: float = 0.0) -> in
 
 
 def _sweep_one(config: SimulationConfig) -> StructureCount:
-    grid = config.grid()
-    n_steps = step_count(config.T_final, config.tau)
-    u = _final_field(initial_field(config, grid), config, n_steps, f"sigma={config.sigma:g}")
+    state = _final_state(config, f"sigma={config.sigma:g}")
     return StructureCount(
         sigma=config.sigma,
-        count=minority_structure_count(grid, u, config.structure_threshold),
+        count=minority_structure_count(config.grid(), state.u, config.structure_threshold),
         threshold=config.structure_threshold,
-        final_time=n_steps * config.tau,
+        final_time=state.t,
     )
 
 

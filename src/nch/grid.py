@@ -105,9 +105,6 @@ class ModelParams:
     delta    gap of the sup-norm bound 1 - delta, in (0, 1)
     L, M     domain edge and mesh count
     tau      uniform time step, > 0
-    projection_tol  mass-residual tolerance of the projection per unit
-             area, > 0: the solve stops within projection_tol * L^2
-    projection_max_iter  iteration budget of that solve, >= 1
     """
 
     epsilon: float = 0.02
@@ -119,11 +116,9 @@ class ModelParams:
     L: float = 1.0
     M: int = 128
     tau: float = 1e-4
-    projection_tol: float = 1e-13
-    projection_max_iter: int = 100
 
     def __post_init__(self) -> None:
-        finite = ("epsilon", "theta", "theta_c", "sigma", "kappa", "L", "tau", "projection_tol")
+        finite = ("epsilon", "theta", "theta_c", "sigma", "kappa", "L", "tau")
         for name in finite:
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -147,12 +142,6 @@ class ModelParams:
             raise ValueError(f"M must be a positive integer, got {self.M}")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if not self.projection_tol > 0:
-            raise ValueError(f"projection_tol must be positive, got {self.projection_tol}")
-        if self.projection_max_iter < 1:
-            raise ValueError(
-                f"projection_max_iter must be >= 1, got {self.projection_max_iter}"
-            )
 
     def grid(self) -> Grid:
         return Grid(self.M, self.L)

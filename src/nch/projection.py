@@ -24,6 +24,12 @@ from .grid import ModelParams
 
 Array = np.ndarray
 
+#: mass-residual tolerance of the shift per unit area: a Newton landing
+#: within PROJECTION_TOL * L^2 of the target mass is accepted
+PROJECTION_TOL = 1e-13
+#: iterations after which the solve for the shift gives up
+PROJECTION_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class ProjectionResult:
@@ -96,20 +102,22 @@ def project(utilde: Array, params: ModelParams, target_mass: float) -> Projectio
     is 0 or the step leaves the bracket built from the saturation shifts,
     the bracket is bisected instead; the residual is monotone, so the
     bracket never loses the root.  An iterate is accepted only when its
-    residual is exactly 0, or within params.projection_tol * L^2 at a Newton
+    residual is exactly 0, or within PROJECTION_TOL * L^2 at a Newton
     landing, so the result carries no bias from stopping anywhere inside
-    the tolerance.  Raises ProjectionConvergenceError after
-    params.projection_max_iter iterations without one, NonFiniteFieldError,
-    before any iteration, for a NaN or infinite entry of utilde or target
-    mass, and InfeasibleMassError for a target outside
-    (-L^2 bound, L^2 bound).
+    the tolerance.  A target at +-L^2 bound, the saturated mass, or up to
+    that tolerance beyond it gets the one field of that mass, the constant
+    +-bound, at the saturating end of the bracket after 0 iterations.
+    Raises ProjectionConvergenceError after PROJECTION_MAX_ITER iterations
+    without an accepted iterate, NonFiniteFieldError, before any iteration,
+    for a NaN or infinite entry of utilde or target mass, and
+    InfeasibleMassError for a target farther out.
     """
     # Every residual evaluation writes s = utilde + xi and u = clamp(s) into
     # the same two arrays; the last one is the result.  Rounding is
     # monotone, so max s = fl(max utilde + xi), and the extremes of s give
     # sup|u| and max lam without another pass over the field.
     grid = params.grid()
-    bound, tol = params.bound, params.projection_tol * grid.area
+    bound, tol = params.bound, PROJECTION_TOL * grid.area
     utilde = grid.check(utilde)
     cell = grid.h * grid.h
     shifted, u = np.empty_like(utilde), np.empty_like(utilde)
@@ -132,19 +140,25 @@ def project(utilde: Array, params: ModelParams, target_mass: float) -> Projectio
             f"(mass residual at xi = 0: {f})"
         )
     saturation = grid.area * bound
-    if not -saturation < target_mass < saturation:
+    if not abs(target_mass) <= saturation + tol:
         raise InfeasibleMassError(
             f"target mass {target_mass} is outside the feasible interval "
-            f"(-{saturation}, {saturation})"
+            f"[-{saturation}, {saturation}] (tolerance {tol:.3e})"
         )
 
     xi, iterations = 0.0, 0
+    if abs(target_mass) >= saturation:
+        # the one admissible field is the constant sign(target) * bound
+        xi = hi if target_mass > 0 else lo
+        np.add(utilde, xi, out=shifted)
+        u.fill(math.copysign(bound, target_mass))
+        total, f = float(u.sum()), 0.0
     while f != 0.0:
         if f > 0.0:
             hi = min(hi, xi)
         else:
             lo = max(lo, xi)
-        if iterations == params.projection_max_iter:
+        if iterations == PROJECTION_MAX_ITER:
             raise ProjectionConvergenceError(
                 f"no Newton landing within tolerance {tol:.3e} after "
                 f"{iterations} iterations (mass residual {f:.3e})",

@@ -24,10 +24,10 @@ leave the physical interval at the midpoint or at the end of a step, which
 is reported as a `blowup` and halts the run instead of feeding complex
 logarithms downstream.
 
-The step core is built once per run and holds the model parameters (the
-projection's tolerance and iteration budget among them), the grid and the
-four kernels.  It calls the operators and the projection through
-this module's names, so whatever replaces those names sees every call.
+The step core is built once per run and holds the model parameters, the
+grid and the four kernels.  It calls the operators and the projection
+through this module's names, so whatever replaces those names sees every
+call.
 """
 
 from __future__ import annotations

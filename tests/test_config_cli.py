@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nch import ConfigError, Grid, ModelParams, parse_config, render_config, write_snapshot
-from nch import errors, experiments
+from nch import errors, experiments, projection
 from nch.cli import _build_parser, main
 from nch.config import CONFIG_KEYS, InitialSpec, SimulationConfig
 from nch.grid import read_snapshot
@@ -26,7 +26,6 @@ class TestParse:
         assert cfg.M == 64
         assert cfg.delta == 0.05
         assert cfg.kappa == 2.0
-        assert cfg.projection_tol == 1e-13
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# full-line comment\n\nM = 32  # trailing comment\n")
@@ -56,7 +55,6 @@ class TestParse:
         "key, raw",
         [
             ("M", "1.5"),
-            ("projection_max_iter", "many"),
             ("tau", "fast"),
             ("initial", "sine()"),
             ("snapshot_times", "0.1, soon"),
@@ -195,6 +193,19 @@ class TestCli:
         cfg.write_text("M = 8\nmass_target = initial\n")
         assert main(["run", str(cfg)]) == 2
         assert "line 2: unknown key 'mass_target'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, raw", [("projection_tol", "1e-11"), ("projection_max_iter", "5")])
+    def test_projection_settings_are_unknown_keys(self, tmp_path, capsys, key, raw):
+        # the shift's tolerance and iteration budget are constants of project
+        with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+            parse_config(f"M = 8\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=f"override: unknown key '{key}'"):
+            parse_config("", {key: raw})
+        out = tmp_path / "o"
+        cfg = REPO / "configs" / "comparison.cfg"
+        assert main(["run", str(cfg), f"--{key}={raw}", f"--output_dir={out}"]) == 2
+        assert f"unrecognized arguments: --{key}={raw}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["theta_c", "sigma", "tau", "L", "epsilon"])
     def test_non_finite_parameter_exits_2(self, tmp_path, capsys, key):
@@ -349,14 +360,17 @@ class TestCli:
         assert "sigma=5" in capsys.readouterr().out
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_sweep_applies_projection_max_iter(self, tmp_path, capsys, monkeypatch, threads):
-        # one iteration cannot meet the tolerance at sigma=30; in a process
+    def test_sweep_keeps_the_completed_rows_after_a_solver_error(
+        self, tmp_path, capsys, monkeypatch, in_process_pool, threads
+    ):
+        # one iteration cannot meet the tolerance at sigma=30; through a
         # pool the error must also survive the trip back to the parent.
         # sigma=70 completes, and its row is kept, without a slope line
         monkeypatch.setenv("NCH_THREADS", threads)
+        monkeypatch.setattr(projection, "PROJECTION_MAX_ITER", 1)
         args = ["--scheme=p-etdrk2", "--M=32", "--tau=0.1", "--T_final=2", "--sigma-list=30,70",
                 "--initial=random(0.3, 0.05, 0)"]
-        code = main(["sweep", *args, "--projection_max_iter=1", f"--out={tmp_path}"])
+        code = main(["sweep", *args, f"--out={tmp_path}"])
         assert code == 3
         captured = capsys.readouterr()
         assert captured.err.count("nch:") == 1
@@ -367,31 +381,14 @@ class TestCli:
         assert rows[0] == "sigma,count,threshold,final_time"
         assert [r.split(",")[0] for r in rows[1:]] == ["70"]
 
-    @pytest.mark.parametrize(
-        "command, runs",
-        [
-            (["converge", "--tau-list=2e-3,1e-3", "--benchmark-tau=5e-4", "--T_final=0.01"], 3),
-            (["sweep", "--sigma-list=5,20", "--tau=0.1", "--T_final=0.5",
-              "--initial=random(0.3, 0.05, 0)"], 2),
-        ],
-    )
-    def test_experiments_forward_projection_options(self, tmp_path, monkeypatch, command, runs):
-        monkeypatch.setenv("NCH_THREADS", "1")
-        calls = []
-        self._record_advance(monkeypatch, calls)
-        options = ["--projection_tol=1e-11", "--projection_max_iter=7"]
-        assert main([*command, "--M=8", *options, f"--out={tmp_path}"]) == 0
-        settings = [(p.projection_tol, p.projection_max_iter) for _, p, _ in calls]
-        assert settings == [(1e-11, 7)] * runs
-
     @staticmethod
     def _record_advance(monkeypatch, record):
         """Replace the experiments' advance by one that records its scheme,
-        params and u0 and returns u0 at once."""
+        params and u0 and returns u0, at the final time, at once."""
 
         def fake_advance(u0, params, scheme, n_steps):
             record.append((scheme, params, u0))
-            return SimpleNamespace(u=u0), [], "ok"
+            return SimpleNamespace(u=u0, t=n_steps * params.tau), [], "ok"
 
         monkeypatch.setattr(experiments, "advance", fake_advance)
 

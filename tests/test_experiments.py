@@ -11,6 +11,7 @@ from nch import (
     count_structures,
     experiments,
     fit_loglog_slope,
+    projection,
 )
 from nch.config import InitialSpec
 from nch.errors import ProjectionConvergenceError
@@ -216,10 +217,11 @@ class TestSigmaSweep:
         assert slope is None
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_solver_error_names_the_sigma(self, monkeypatch, threads):
+    def test_solver_error_names_the_sigma(self, monkeypatch, in_process_pool, threads):
         # the error keeps its type and residual, also across the process pool
         monkeypatch.setenv("NCH_THREADS", threads)
-        config = sweep_config(2.0, 7, M=32, tau=0.1, kappa=2.0, projection_max_iter=1)
+        monkeypatch.setattr(projection, "PROJECTION_MAX_ITER", 1)
+        config = sweep_config(2.0, 7, M=32, tau=0.1, kappa=2.0)
         with pytest.raises(ProjectionConvergenceError, match="sigma=30") as info:
             sigma_sweep([30.0, 70.0], config)
         assert info.value.residual > 0

@@ -144,9 +144,6 @@ class TestModelParams:
             {"L": 0.0},
             {"M": 0},
             {"tau": 0.0},
-            {"projection_tol": 0.0},
-            {"projection_tol": float("inf")},
-            {"projection_max_iter": 0},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

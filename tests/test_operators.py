@@ -19,6 +19,7 @@ from nch import (
     phi2,
 )
 from nch.errors import BoundViolationError
+from nch.operators import chemical_potential
 from nch.stepper import advance, random_initial
 from oracles import complex_apply_phi, full_spectrum_energy, phi_series_fraction
 
@@ -349,6 +350,21 @@ class TestEnergy:
     def test_bound_violation_rejected(self):
         with pytest.raises(BoundViolationError):
             energy(np.full((8, 8), 1.0 + 1e-12), ModelParams(M=8))
+
+    def test_entries_at_minus_one_use_the_xlogx_limit(self):
+        # energy admits u = -1 through the limit; the logarithms of the
+        # chemical potential do not, and energy refuses anything below
+        params = ModelParams(M=8)
+        u = 0.5 * np.random.default_rng(5).uniform(-1.0, 1.0, (8, 8))
+        u[::3, 1::2] = -1.0
+        value = energy(u, params)
+        assert np.isfinite(value)
+        assert value == pytest.approx(full_spectrum_energy(u, params), rel=1e-12)
+        with pytest.raises(BoundViolationError):
+            chemical_potential(u, params)
+        u[0, 1] = -1.0 - 1e-12
+        with pytest.raises(BoundViolationError):
+            energy(u, params)
 
     def test_makes_one_forward_transform(self, monkeypatch):
         calls = count_transforms(monkeypatch)

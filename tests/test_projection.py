@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nch import Grid, ModelParams, clamp_with_multiplier, project
+from nch import Grid, ModelParams, clamp_with_multiplier, project, projection
 from nch.errors import InfeasibleMassError, NonFiniteFieldError, ProjectionConvergenceError
 from oracles import PREDICTED_CASES, bisect_xi, feasible_fields, predicted_field
 
@@ -130,8 +130,9 @@ class TestSolveXi:
         with pytest.raises(NonFiniteFieldError):
             project(u, params, target)
 
-    def test_iteration_budget_exhaustion_reports_residual(self):
-        params = ModelParams(M=4, delta=DELTA, projection_max_iter=1)
+    def test_iteration_budget_exhaustion_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(projection, "PROJECTION_MAX_ITER", 1)
+        params = ModelParams(M=4, delta=DELTA)
         rng = np.random.default_rng(6)
         u = random_overshooting(rng, params.grid())
         with pytest.raises(ProjectionConvergenceError) as info:
@@ -217,7 +218,31 @@ def test_own_mass_diagnostics_are_bitwise_those_of_the_field(M, case):
     params = ModelParams(M=M, delta=DELTA)
     grid = params.grid()
     utilde = predicted_field(case, M, BOUND)
-    result = project(utilde, params, grid.mass(utilde))
+    _assert_diagnostics_are_those_of_the_field(
+        project(utilde, params, grid.mass(utilde)), grid
+    )
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_saturated_target_returns_the_constant_field(sign):
+    # at +-L^2 bound, or within the tolerance above it, the one admissible
+    # field is the constant +-bound, at the saturating end of the bracket;
+    # further out no field is admissible
+    params = ModelParams(M=4, L=3.0, delta=DELTA)
+    grid = params.grid()
+    utilde = sign * (BOUND + 0.2 * np.random.default_rng(12).uniform(-1.0, 1.0, (4, 4)))
+    saturation = grid.area * BOUND
+    for excess in (0.0, 0.5e-13):
+        result = project(utilde, params, sign * (saturation + excess * grid.area))
+        assert np.array_equal(result.u, np.full((4, 4), sign * BOUND))
+        assert result.iterations == 0
+        assert result.xi == (BOUND - utilde.min() if sign > 0 else -BOUND - utilde.max())
+        _assert_diagnostics_are_those_of_the_field(result, grid)
+    with pytest.raises(InfeasibleMassError):
+        project(utilde, params, sign * (saturation + 1e-10 * grid.area))
+
+
+def _assert_diagnostics_are_those_of_the_field(result, grid):
     assert _bits(result.sup_norm) == _bits(grid.norm_inf(result.u))
     assert _bits(result.mass) == _bits(grid.mass(result.u))
     assert _bits(result.lambda_sup) == _bits(float(np.max(result.lam)))

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nch import Grid, ModelParams, SimulationConfig, parse_config, project
-from nch import operators
+from nch import operators, projection
 from nch.config import SCHEMES
 from nch.errors import NonFiniteFieldError, ProjectionConvergenceError, SolverError
 from nch.experiments import thread_budget
@@ -275,6 +275,40 @@ def test_a_nan_field_ends_an_unprojected_run_as_a_blowup(scheme):
     assert diagnostics[-1].status == "blowup"
 
 
+@pytest.mark.parametrize("M", [1, 3, 4, 5, 7, 16, 33])
+@pytest.mark.parametrize("L", [1.0, 3.0])
+def test_saturated_constant_is_a_fixed_point_of_the_projected_schemes(M, L):
+    # a constant field at +-bound is admissible, and its mass, rounded
+    # to or just above the saturated +-L^2 bound, is a target to accept
+    params = ModelParams(M=M, L=L, tau=0.1)
+    for value in (params.bound, -params.bound):
+        u0 = np.full((M, M), value)
+        for scheme in ("p-etd1", "p-etdrk2"):
+            fields = []
+            _, diagnostics, status = advance(
+                u0, params, scheme, 3, collect=True, on_step=lambda s, d: fields.append(s.u)
+            )
+            assert status == "ok"
+            assert all(np.max(np.abs(u - value)) <= 1e-12 for u in fields)
+            assert all(d.sup_norm <= params.bound for d in diagnostics)
+            assert all(abs(d.mass_increment) <= 1e-12 * L * L for d in diagnostics)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_rows_that_no_projection_made_read_zero(scheme):
+    # row 0, the initial state, and every row of an unprojected run inside
+    # the bound have no shift, multiplier, iteration or clamped entry;
+    # row 0 sits at step 0, t = 0
+    params = ModelParams(M=16, tau=0.1)
+    u0 = random_initial(params.grid(), 0.2, 0.05, seed=7)
+    _, diagnostics, status = advance(u0, params, scheme, 3, collect=True)
+    assert status == "ok"
+    assert (diagnostics[0].step, diagnostics[0].t) == (0, 0.0)
+    unprojected = diagnostics[:1] if scheme.startswith("p-") else diagnostics
+    for d in unprojected:
+        assert (d.xi, d.lambda_sup, d.projection_iterations, d.clamped_fraction) == (0, 0, 0, 0)
+
+
 class TestClassicSteps:
     def test_blowup_is_reported_not_raised(self):
         params = ModelParams(
@@ -335,6 +369,14 @@ class TestInitialFields:
         X, Y = grid.mesh()
         assert np.max(np.abs(u - 0.1 * np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y))) == 0.0
         assert abs(grid.mean(u)) < 1e-15
+
+    def test_sine_profile_has_the_period_of_the_domain(self):
+        grid = Grid(10, 2.5)
+        u = sine_initial(grid, 0.1)
+        X, Y = grid.mesh()
+        expected = 0.1 * np.sin(2 * np.pi * X / 2.5) * np.sin(2 * np.pi * Y / 2.5)
+        assert np.max(np.abs(u - expected)) <= 1e-15
+        assert np.max(np.abs(u)) > 0.09
 
     def test_random_field_is_reproducible_and_in_range(self):
         grid = ModelParams(M=32).grid()
@@ -410,11 +452,12 @@ class TestRun:
         assert all(np.isfinite(d.energy) for d in result.diagnostics[:-1])
 
 
-def test_projection_tolerance_is_per_unit_area():
-    # at L = 2 the solve may stop within projection_tol * L^2
-    params = ModelParams(L=2.0, M=4, projection_tol=1e-12, projection_max_iter=1)
+def test_projection_tolerance_is_per_unit_area(monkeypatch):
+    # at L = 2 the solve may stop within PROJECTION_TOL * L^2
+    monkeypatch.setattr(projection, "PROJECTION_MAX_ITER", 1)
+    params = ModelParams(L=2.0, M=4)
     u = 1.3 * np.random.default_rng(0).uniform(-1.0, 1.0, (4, 4))
-    with pytest.raises(ProjectionConvergenceError, match="tolerance 4.000e-12"):
+    with pytest.raises(ProjectionConvergenceError, match="tolerance 4.000e-13"):
         project(u, params, 0.5)
 
 
