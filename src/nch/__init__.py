@@ -16,6 +16,6 @@ from .operators import (
     phi1,
     phi2,
 )
-from .projection import clamp_with_multiplier, project
+from .projection import project
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Command-line front end: run, converge, sweep, count.
 
 Any `--key=value` argument whose key is a config key overrides the config
-file (which is optional for converge/sweep).  Exit codes: 0 success,
-2 config error, 3 solver error, 4 unprojected scheme left the bound
-(`blowup`, the expected outcome of the comparison experiment; converge,
-whose study needs every run's final field, ends at the first such run).
+file (which is optional for converge/sweep); count reads no config and
+refuses one.  Exit codes: 0 success, 2 config error, 3 solver error,
+4 unprojected scheme left the bound (`blowup`, the expected outcome of the
+comparison experiment; converge, whose study needs every run's final
+field, ends at the first such run).
 A sweep whose run fails still runs the other sigmas and writes the rows
 of those that completed, without the slope, before it exits 3 or 4.
 """
@@ -109,7 +110,10 @@ def _report_sweep(out_dir: Path, results: list, slope: float | None) -> None:
     print(f"report: {out_dir / 'sigma_sweep.csv'}")
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args, overrides) -> int:
+    if overrides:
+        flags = " ".join(f"--{key}={value}" for key, value in overrides.items())
+        raise ValueError(f"count takes no config keys, got {flags}")
     _, u, _ = read_snapshot(args.snapshot)
     print(experiments.count_structures(u, args.threshold))
     return EXIT_OK
@@ -175,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_converge(args, overrides)
         if args.command == "sweep":
             return _cmd_sweep(args, overrides)
-        return _cmd_count(args)
+        return _cmd_count(args, overrides)
     except BlowupError as exc:
         print(f"nch: blowup: {exc}", file=sys.stderr)
         return EXIT_BLOWUP

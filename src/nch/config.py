@@ -48,6 +48,8 @@ class InitialSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.kind not in ("sine", "random"):
+            raise ValueError(f"unknown initial kind {self.kind!r}, expected sine or random")
         for name in ("amplitude", "offset"):
             value = getattr(self, name)
             if not math.isfinite(value):

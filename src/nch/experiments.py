@@ -46,7 +46,7 @@ def _final_state(config: SimulationConfig, run: str) -> StepState:
     """The state at config.T_final of config.scheme from config.initial;
     errors name the run ("tau=...")."""
     scheme = config.scheme
-    u0 = initial_field(config, config.grid())
+    u0 = initial_field(config)
     n_steps = step_count(config.T_final, config.tau)
     try:
         state, _, status = advance(u0, config, scheme, n_steps)
@@ -127,12 +127,11 @@ def convergence_study(
     """
     _require_initial(config, "sine(amplitude)", "converge")
     check_step_sizes(tau_list, benchmark_tau, config.T_final)
-    grid = config.grid()
     rows: list[ConvergenceRow] = []
     previous_error = None
     for tau in tau_list:
         u = _final_state(replace(config, tau=tau), f"tau={tau:g}").u
-        error = grid.norm2(u - reference)
+        error = config.norm2(u - reference)
         rate = None
         if previous_error is not None and error > 0:
             rate = math.log2(previous_error / error)
@@ -247,7 +246,7 @@ def _sweep_one(config: SimulationConfig) -> StructureCount:
     state = _final_state(config, f"sigma={config.sigma:g}")
     return StructureCount(
         sigma=config.sigma,
-        count=minority_structure_count(config.grid(), state.u, config.structure_threshold),
+        count=minority_structure_count(config, state.u, config.structure_threshold),
         threshold=config.structure_threshold,
         final_time=state.t,
     )

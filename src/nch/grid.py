@@ -38,6 +38,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.M < 1:
             raise ValueError(f"mesh count must be a positive integer, got M={self.M}")
+        if not math.isfinite(self.L):
+            raise ValueError(f"L must be finite, got {self.L}")
         if not self.L > 0:
             raise ValueError(f"domain edge must be positive, got L={self.L}")
 
@@ -95,30 +97,33 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class ModelParams:
-    """Physical and numerical constants of one solver setup.
+class ModelParams(Grid):
+    """The mesh plus the physical and numerical constants of one solver setup.
 
+    M, L     mesh count and domain edge, checked by Grid
     epsilon  capillary width, > 0
     theta, theta_c  mixture temperatures, 0 < theta < theta_c
     sigma    nonlocal interaction strength, > 0
     kappa    stabilization shift, >= 0
     delta    gap of the sup-norm bound 1 - delta, in (0, 1)
-    L, M     domain edge and mesh count
     tau      uniform time step, > 0
+
+    It is a Grid, so it is passed wherever a mesh is wanted.
     """
 
+    M: int = 128
+    L: float = 1.0
     epsilon: float = 0.02
     theta: float = 0.8
     theta_c: float = 1.6
     sigma: float = 30.0
     kappa: float = 2.0
     delta: float = 0.05
-    L: float = 1.0
-    M: int = 128
     tau: float = 1e-4
 
     def __post_init__(self) -> None:
-        finite = ("epsilon", "theta", "theta_c", "sigma", "kappa", "L", "tau")
+        super().__post_init__()
+        finite = ("epsilon", "theta", "theta_c", "sigma", "kappa", "tau")
         for name in finite:
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -136,14 +141,11 @@ class ModelParams:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L}")
-        if self.M < 1:
-            raise ValueError(f"M must be a positive integer, got {self.M}")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
     def grid(self) -> Grid:
+        """The bare mesh, without the model constants."""
         return Grid(self.M, self.L)
 
     @property

@@ -109,7 +109,7 @@ def laplace_symbol(grid: Grid) -> Array:
 
 def operator_eigenvalues(params: ModelParams) -> Array:
     """Per-mode eigenvalues eps^2 d^2 - kappa d + sigma >= sigma > 0."""
-    d = laplace_symbol(params.grid())
+    d = laplace_symbol(params)
     return params.epsilon**2 * d * d - params.kappa * d + params.sigma
 
 
@@ -176,7 +176,7 @@ def chemical_potential(u: Array, params: ModelParams) -> Array:
     theta arctanh(u) = (theta/2)[ln(1+u) - ln(1-u)], so |u| < 1 is required
     strictly for the logarithms.
     """
-    u = params.grid().check(u)
+    u = params.check(u)
     _require_inside_bound(u, 1.0, strict=True)
     chem = np.arctanh(u)
     chem *= params.theta
@@ -190,9 +190,8 @@ def nonlinear_F(u: Array, params: ModelParams) -> Array:
     The reference form of the forcing; the stepper applies Lap_h through
     its phi kernels instead (see stepper).
     """
-    grid = params.grid()
-    out = grid.laplace(chemical_potential(u, params))
-    out += params.sigma * grid.mean(u)
+    out = params.laplace(chemical_potential(u, params))
+    out += params.sigma * params.mean(u)
     return out
 
 
@@ -235,8 +234,7 @@ def energy(u: Array, params: ModelParams) -> float:
     each interior column weighted twice for its mirror image.  Entries at
     exactly +-1 are admitted through the x ln x -> 0 limit.
     """
-    grid = params.grid()
-    u = np.ascontiguousarray(grid.check(u))
+    u = np.ascontiguousarray(params.check(u))
     lo, hi = _require_inside_bound(u, 1.0, strict=False)
     inside = -1.0 < lo and hi < 1.0
 
@@ -254,11 +252,11 @@ def energy(u: Array, params: ModelParams) -> float:
             logs.fill(0.0)
             np.log(side, out=logs, where=side > 0)
         entropy += _sum_of_products(side, logs)
-    bulk = grid.h**2 * (
+    bulk = params.h**2 * (
         0.5 * params.theta * entropy - 0.5 * params.theta_c * _sum_of_products(u, u)
     )
 
     spectrum = np.fft.rfft2(u)
-    spectrum *= _energy_root_weights_cached(grid.M, grid.L, params.epsilon, params.sigma)
+    spectrum *= _energy_root_weights_cached(params.M, params.L, params.epsilon, params.sigma)
     parts = spectrum.view(float)
     return bulk + _sum_of_products(parts, parts)

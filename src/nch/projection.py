@@ -44,11 +44,12 @@ class ProjectionResult:
     lambda_sup  max of lam
     clamped     number of entries with lam > 0
     utilde      the predicted field
-    delta       gap of the bound 1 - delta
+    bound       the sup-norm bound 1 - delta
 
     The four diagnostics are bitwise what u and lam give.  lam, the
-    pointwise multiplier (>= 0, nonzero only on clamped entries), is built
-    from utilde and xi on first read.
+    pointwise multiplier (u - s)/g'(u) = (|s| - bound)/(2 bound) on the
+    clamped entries of s = utilde + xi and 0 elsewhere, is built on first
+    read.
     """
 
     u: Array
@@ -59,35 +60,11 @@ class ProjectionResult:
     lambda_sup: float
     clamped: int
     utilde: Array = field(repr=False)
-    delta: float
+    bound: float
 
     @cached_property
     def lam(self) -> Array:
-        return clamp_with_multiplier(self.utilde, self.xi, self.delta)[1]
-
-
-def clamp_with_multiplier(
-    utilde: Array, xi: float, delta: float
-) -> tuple[Array, Array]:
-    """Closed-form pointwise minimizer and its multiplier for a fixed shift.
-
-    Per entry s = utilde + xi: inside the bound, (u, lam) = (s, 0); on the
-    clamped branches u = +-(1 - delta) and lam = (u - s)/g'(u), which the
-    sign of the overshoot makes nonnegative.  Ties |s| = 1 - delta stay
-    unclamped with lam = 0.
-    """
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    bound = 1.0 - delta
-    s = np.asarray(utilde, dtype=float) + xi
-    u = np.clip(s, -bound, bound)
-    lam = np.zeros_like(s)
-    over = s > bound
-    under = s < -bound
-    # g'(+-bound) = -+2*bound
-    lam[over] = (s[over] - bound) / (2.0 * bound)
-    lam[under] = (-bound - s[under]) / (2.0 * bound)
-    return u, lam
+        return np.maximum(np.abs(self.utilde + self.xi) - self.bound, 0.0) / (2.0 * self.bound)
 
 
 def project(utilde: Array, params: ModelParams, target_mass: float) -> ProjectionResult:
@@ -116,10 +93,9 @@ def project(utilde: Array, params: ModelParams, target_mass: float) -> Projectio
     # the same two arrays; the last one is the result.  Rounding is
     # monotone, so max s = fl(max utilde + xi), and the extremes of s give
     # sup|u| and max lam without another pass over the field.
-    grid = params.grid()
-    bound, tol = params.bound, PROJECTION_TOL * grid.area
-    utilde = grid.check(utilde)
-    cell = grid.h * grid.h
+    bound, tol = params.bound, PROJECTION_TOL * params.area
+    utilde = params.check(utilde)
+    cell = params.h * params.h
     shifted, u = np.empty_like(utilde), np.empty_like(utilde)
 
     def clamped_sum(xi: float) -> float:
@@ -139,7 +115,7 @@ def project(utilde: Array, params: ModelParams, target_mass: float) -> Projectio
             f"predicted field or target mass {target_mass} is not finite "
             f"(mass residual at xi = 0: {f})"
         )
-    saturation = grid.area * bound
+    saturation = params.area * bound
     if not abs(target_mass) <= saturation + tol:
         raise InfeasibleMassError(
             f"target mass {target_mass} is outside the feasible interval "
@@ -199,5 +175,5 @@ def project(utilde: Array, params: ModelParams, target_mass: float) -> Projectio
         lambda_sup=lambda_sup,
         clamped=clamped,
         utilde=utilde,
-        delta=params.delta,
+        bound=bound,
     )

@@ -24,10 +24,10 @@ leave the physical interval at the midpoint or at the end of a step, which
 is reported as a `blowup` and halts the run instead of feeding complex
 logarithms downstream.
 
-The step core is built once per run and holds the model parameters, the
-grid and the four kernels.  It calls the operators and the projection
-through this module's names, so whatever replaces those names sees every
-call.
+The step core is built once per run and holds the model parameters (the
+mesh included: a ModelParams is a Grid) and the four kernels.  It calls the
+operators and the projection through this module's names, so whatever
+replaces those names sees every call.
 """
 
 from __future__ import annotations
@@ -84,9 +84,8 @@ DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(StepDiagnostics))
 
 
 def new_state(u0: Array, params: ModelParams) -> StepState:
-    grid = params.grid()
-    u0 = grid.check(u0)
-    return StepState(u=u0, t=0.0, step_index=0, initial_mass=grid.mass(u0))
+    u0 = params.check(u0)
+    return StepState(u=u0, t=0.0, step_index=0, initial_mass=params.mass(u0))
 
 
 def sine_initial(grid: Grid, amplitude: float) -> Array:
@@ -111,10 +110,10 @@ def random_initial(grid: Grid, offset: float, amplitude: float, seed: int) -> Ar
 
 
 def _diagnostics(
-    state: StepState, grid: Grid, proj: ProjectionResult | None
+    state: StepState, params: ModelParams, proj: ProjectionResult | None
 ) -> StepDiagnostics:
     if proj is None:
-        sup_norm, mass = grid.norm_inf(state.u), grid.mass(state.u)
+        sup_norm, mass = params.norm_inf(state.u), params.mass(state.u)
     else:
         sup_norm, mass = proj.sup_norm, proj.mass
     return StepDiagnostics(
@@ -138,11 +137,10 @@ class _StepCore:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
         self.params = params
-        self.grid = params.grid()
         self.order = 2 if scheme.endswith("etdrk2") else 1
         self.projected = scheme.startswith("p-")
         phi = build_phi_table(params)
-        tau_d = params.tau * laplace_symbol(self.grid)[:, : params.M // 2 + 1]
+        tau_d = params.tau * laplace_symbol(params)[:, : params.M // 2 + 1]
         self.phi0 = phi.phi0.copy()
         self.phi0[0, 0] = 1.0  # phi0(a) + a phi1(a) = 1 at a = tau sigma
         self.d_phi1, self.d_phi1m2, self.d_phi2 = (
@@ -180,12 +178,12 @@ class _StepCore:
         """
         exp_u, c_n = self.linear_and_forcing(state.u)
         u, proj = self._correct(self.predict(exp_u, c_n), state)
-        if self.order == 2 and (self.projected or self.grid.norm_inf(u) < 1.0):
+        if self.order == 2 and (self.projected or self.params.norm_inf(u) < 1.0):
             c_mid = chemical_potential(u, self.params)
             u, proj = self._correct(self.predict(exp_u, c_n, c_mid), state)
         index = state.step_index + 1
         nxt = replace(state, u=u, t=index * self.params.tau, step_index=index)
-        diag = _diagnostics(nxt, self.grid, proj)
+        diag = _diagnostics(nxt, self.params, proj)
         if not self.projected and not diag.sup_norm < 1.0:
             diag.status = "blowup"
         return nxt, diag
@@ -216,7 +214,7 @@ def advance(
     state = new_state(u0, params)
     diagnostics: list[StepDiagnostics] = []
     if collect:
-        diag0 = _diagnostics(state, core.grid, None)
+        diag0 = _diagnostics(state, params, None)
         diag0.energy = energy(state.u, params)
         diagnostics.append(diag0)
     if on_step is not None:
@@ -259,13 +257,11 @@ def write_diagnostics_csv(path, diagnostics: list[StepDiagnostics]) -> None:
             writer.writerow([_format_value(getattr(d, c)) for c in DIAGNOSTICS_COLUMNS])
 
 
-def initial_field(config: SimulationConfig, grid: Grid) -> Array:
+def initial_field(config: SimulationConfig) -> Array:
     spec = config.initial
     if spec.kind == "sine":
-        return sine_initial(grid, spec.amplitude)
-    if spec.kind == "random":
-        return random_initial(grid, spec.offset, spec.amplitude, spec.seed)
-    raise ValueError(f"unknown initial condition kind {spec.kind!r}")
+        return sine_initial(config, spec.amplitude)
+    return random_initial(config, spec.offset, spec.amplitude, spec.seed)
 
 
 def run(config: SimulationConfig, pgm: bool = False) -> RunResult:
@@ -277,8 +273,7 @@ def run(config: SimulationConfig, pgm: bool = False) -> RunResult:
     a normal documented outcome reported through the returned status, not an
     exception.
     """
-    grid = config.grid()
-    u0 = initial_field(config, grid)
+    u0 = initial_field(config)
     n_steps = step_count(config.T_final, config.tau)
     snapshot_steps = {step_count(s, config.tau): s for s in config.snapshot_times}
 
@@ -292,7 +287,7 @@ def run(config: SimulationConfig, pgm: bool = False) -> RunResult:
             return
         label = snapshot_steps[state.step_index]
         path = out_dir / f"snapshot_t{label:g}.grid"
-        write_snapshot(path, grid, state.u, state.t)
+        write_snapshot(path, config, state.u, state.t)
         snapshot_paths.append(path)
         if pgm:
             write_pgm(path.with_suffix(".pgm"), state.u)

@@ -16,6 +16,8 @@ from scipy.special import xlogy
 
 from nch.operators import apply_phi, build_phi_table, nonlinear_F
 
+Array = np.ndarray
+
 
 def phi_series_fraction(a: Fraction, shift: int, terms: int = 30) -> float:
     """Exact-rational truncated series sum_j (-a)^j / (j+shift)!."""
@@ -46,6 +48,30 @@ def bisect_xi(utilde, delta, target_mass, h, tol=1e-14, steps=200):
         if hi - lo <= tol:
             break
     return 0.5 * (lo + hi)
+
+
+def clamp_with_multiplier(
+    utilde: Array, xi: float, delta: float
+) -> tuple[Array, Array]:
+    """Closed-form pointwise minimizer and its multiplier for a fixed shift.
+
+    Per entry s = utilde + xi: inside the bound, (u, lam) = (s, 0); on the
+    clamped branches u = +-(1 - delta) and lam = (u - s)/g'(u), which the
+    sign of the overshoot makes nonnegative.  Ties |s| = 1 - delta stay
+    unclamped with lam = 0.
+    """
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    bound = 1.0 - delta
+    s = np.asarray(utilde, dtype=float) + xi
+    u = np.clip(s, -bound, bound)
+    lam = np.zeros_like(s)
+    over = s > bound
+    under = s < -bound
+    # g'(+-bound) = -+2*bound
+    lam[over] = (s[over] - bound) / (2.0 * bound)
+    lam[under] = (-bound - s[under]) / (2.0 * bound)
+    return u, lam
 
 
 def feasible_fields(rng, n, shape, delta, target_mass, h, mass_tol=1e-13):

@@ -83,6 +83,11 @@ class TestParse:
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
             parse_config("initial = random(0.2, 0.05, -1)\n")
 
+    def test_initial_spec_refuses_an_unknown_kind(self):
+        # render() would write it as random(...), which parses back as another field
+        with pytest.raises(ValueError, match="unknown initial kind 'bogus'"):
+            InitialSpec("bogus", 0.1)
+
     def test_shipped_configs_parse(self):
         for name in ("convergence", "comparison", "coarsening", "sweep"):
             text = (REPO / "configs" / f"{name}.cfg").read_text()
@@ -251,7 +256,10 @@ class TestCli:
     def test_count_refuses_a_non_finite_snapshot(self, tmp_path, capsys, L, t, entry):
         # loadtxt parses nan and inf: a field of NaNs would count as no structure
         path = tmp_path / "bad.grid"
-        write_snapshot(path, Grid(8, L), np.full((8, 8), entry), t)
+        write_snapshot(path, Grid(8), np.full((8, 8), entry), t)
+        if L != 1.0:
+            # a Grid refuses a non-finite L, so the header is edited instead
+            path.write_text(path.read_text().replace("L=1 ", f"L={L!r} ", 1))
         assert main(["count", str(path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "non-finite" in err
@@ -288,6 +296,15 @@ class TestCli:
         write_snapshot(snap, grid, u, t=0.0)
         assert main(["count", str(snap)]) == 0
         assert capsys.readouterr().out.strip() == "2"
+
+    def test_count_refuses_config_keys(self, tmp_path, capsys):
+        # count reads no config, so a config-key flag would be ignored
+        snap = tmp_path / "zero.grid"
+        write_snapshot(snap, Grid(8), np.zeros((8, 8)), t=0.0)
+        assert main(["count", str(snap), "--M=64", "--tau=-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "count takes no config keys, got --M=64 --tau=-1" in captured.err
 
     def test_converge_subcommand_writes_reports(self, tmp_path, capsys):
         out = tmp_path / "rep"

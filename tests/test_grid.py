@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,17 @@ class TestModelParams:
         p = ModelParams()
         assert p.grid().h == pytest.approx(1.0 / 128)
         assert p.bound == pytest.approx(0.95)
+
+    def test_is_a_grid_whose_grid_is_the_bare_mesh(self):
+        p = ModelParams(M=12, L=2.5)
+        assert isinstance(p, Grid)
+        assert type(p.grid()) is Grid and p.grid() == Grid(12, 2.5)
+
+    def test_infinite_edge_rejected(self):
+        with pytest.raises(ValueError, match="L must be finite, got inf"):
+            Grid(8, math.inf)
+        with pytest.raises(ValueError, match="L must be finite, got inf"):
+            ModelParams(L=math.inf)
 
     def test_temperature_ordering_enforced(self):
         with pytest.raises(ValueError, match="theta"):

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from nch import Grid, ModelParams, clamp_with_multiplier, project, projection
+from nch import Grid, ModelParams, project, projection
 from nch.errors import InfeasibleMassError, NonFiniteFieldError, ProjectionConvergenceError
-from oracles import PREDICTED_CASES, bisect_xi, feasible_fields, predicted_field
+from oracles import (
+    PREDICTED_CASES,
+    bisect_xi,
+    clamp_with_multiplier,
+    feasible_fields,
+    predicted_field,
+)
 
 DELTA = 0.05
 BOUND = 1.0 - DELTA
@@ -221,6 +227,18 @@ def test_own_mass_diagnostics_are_bitwise_those_of_the_field(M, case):
     _assert_diagnostics_are_those_of_the_field(
         project(utilde, params, grid.mass(utilde)), grid
     )
+
+
+@pytest.mark.parametrize("M", [1, 3, 16, 33])
+@pytest.mark.parametrize("case", PREDICTED_CASES)
+def test_multiplier_is_bitwise_the_oracle_clamp(M, case):
+    # lam is built from |s| - bound; the oracle builds each branch apart
+    params = ModelParams(M=M, L=1.5, delta=DELTA)
+    utilde = predicted_field(case, M, BOUND)
+    for target in (params.mass(utilde), 0.3 * params.area):
+        result = project(utilde, params, target)
+        lam = clamp_with_multiplier(utilde, result.xi, DELTA)[1]
+        assert result.lam.tobytes() == lam.tobytes()
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
