@@ -56,6 +56,11 @@ class InitialSpec:
                 raise ValueError(f"{self.kind} {name} must be finite, got {value}")
         if self.seed < 0:
             raise ValueError(f"{self.kind} seed must be non-negative, got {self.seed}")
+        if self.kind == "sine" and (self.offset != 0.0 or self.seed != 0):
+            # render() writes sine(amplitude), and the sine field has neither
+            raise ValueError(
+                f"sine takes no offset or seed, got offset={self.offset!r}, seed={self.seed!r}"
+            )
 
     def render(self) -> str:
         if self.kind == "sine":

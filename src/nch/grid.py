@@ -9,16 +9,18 @@ DFT convention, fixed once for the whole package: unnormalized forward
 transform, 1/M^2-scaled inverse (numpy's default), so the (0, 0) coefficient
 of a field equals M^2 times its mean and Parseval reads
 h^2 sum|v|^2 = (L^2/M^4) sum|v_hat|^2.  The operators use the half spectrum
-of this transform (numpy's rfft2 / irfft2, modes l <= M//2): a real field's
-other modes are the complex conjugates of these, so in Parseval each mode
-0 < l < M/2 stands for two.
+of this transform (numpy's rfft2 and its inverse irfftn over the last two
+axes, modes l <= M//2): a real field's other modes are the complex
+conjugates of these, so in Parseval each mode 0 < l < M/2 stands for two.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +28,21 @@ Array = np.ndarray
 
 SNAPSHOT_MAGIC = "NCHGRID"
 _FLOAT_FMT = "%.17g"
+
+
+@lru_cache(maxsize=16)
+def work_array(slot: str, shape: tuple[int, ...], dtype: type = float) -> Array:
+    """The process-wide scratch array named slot, of that shape and dtype.
+
+    Every call with the same arguments returns the same uninitialized
+    array, so its user writes it before reading it, is done with it before
+    calling anything else that takes the same slot, and never returns it.
+    The operators and the projection share the slots "spectrum" (the half
+    spectrum) and "field" (one field within a call), so that a step keeps
+    one of each.  Not for use from two threads at once; nch runs parallel
+    work in processes.
+    """
+    return np.empty(shape, dtype)
 
 
 @dataclass(frozen=True)
@@ -36,8 +53,8 @@ class Grid:
     L: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.M < 1:
-            raise ValueError(f"mesh count must be a positive integer, got M={self.M}")
+        if not isinstance(self.M, numbers.Integral) or self.M < 1:
+            raise ValueError(f"mesh count must be a positive integer, got M={self.M!r}")
         if not math.isfinite(self.L):
             raise ValueError(f"L must be finite, got {self.L}")
         if not self.L > 0:

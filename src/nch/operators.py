@@ -11,7 +11,7 @@ O(M^4)).
 
 Fields are real and every per-mode table is symmetric under mode negation
 (k, l) -> (M-k, M-l), so the operators work on the half spectrum: a
-real-to-complex rfft2 / irfft2 pair over the M x (M//2+1) modes l <= M//2.
+real-to-complex rfft2 / irfftn pair over the M x (M//2+1) modes l <= M//2.
 The phi tables are stored at that shape.
 """
 
@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundViolationError
-from .grid import Grid, ModelParams
+from .grid import Grid, ModelParams, work_array
 
 Array = np.ndarray
 
@@ -133,15 +133,23 @@ def build_phi_table(params: ModelParams) -> PhiTable:
     return PhiTable(phi0=p0, phi1=p1, phi2=p2, phi1m2=p1 - p2)
 
 
-def apply_phi(v: Array, column: Array) -> Array:
+def apply_phi(v: Array, column: Array, out: Array | None = None) -> Array:
     """Apply a diagonal-in-Fourier operator: IDFT(column * DFT(v)).
 
-    column is one real per-mode table symmetric under mode negation, given
-    on the half spectrum, shape (M, M//2+1) like a PhiTable column.  Costs
-    one real-to-complex transform pair.
+    column is one per-mode table symmetric under mode negation, given on
+    the half spectrum, shape (M, M//2+1) like a PhiTable column.  It is
+    real, or complex with a zero imaginary part: a complex column gives
+    bitwise the same result and spares the multiply its float-to-complex
+    cast.  Costs one real-to-complex transform pair.
+
+    The result goes to out when it is given, an (M, M) float array that
+    may be v itself, and out is returned; otherwise to a new array.  The
+    spectrum is taken into the process-wide complex scratch of
+    grid.work_array, so apply_phi must not run on two threads at once.
+    numpy's irfftn still allocates one half-spectrum temporary per call.
     """
     v = np.asarray(v, dtype=float)
-    column = np.asarray(column, dtype=float)
+    column = np.asarray(column)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"expected a square field, got shape {v.shape}")
     half = (v.shape[0], v.shape[0] // 2 + 1)
@@ -149,9 +157,11 @@ def apply_phi(v: Array, column: Array) -> Array:
         raise ValueError(
             f"table shape {column.shape} is not the half spectrum {half} of the field"
         )
-    spectrum = np.fft.rfft2(v)
+    spectrum = np.fft.rfft2(v, out=work_array("spectrum", half, complex))
     spectrum *= column
-    return np.fft.irfft2(spectrum, s=v.shape)
+    # irfft2 ignores out= (numpy 2.4) where irfftn honours it; irfftn needs
+    # the axes along with s
+    return np.fft.irfftn(spectrum, s=v.shape, axes=(-2, -1), out=out)
 
 
 def _require_inside_bound(u: Array, limit: float, strict: bool) -> tuple[float, float]:
@@ -170,17 +180,19 @@ def _require_inside_bound(u: Array, limit: float, strict: bool) -> tuple[float, 
     return lo, hi
 
 
-def chemical_potential(u: Array, params: ModelParams) -> Array:
+def chemical_potential(u: Array, params: ModelParams, out: Array | None = None) -> Array:
     """Stabilized chemical potential theta arctanh(u) - (theta_c + kappa) u.
 
     theta arctanh(u) = (theta/2)[ln(1+u) - ln(1-u)], so |u| < 1 is required
-    strictly for the logarithms.
+    strictly for the logarithms.  The result goes to out when it is given,
+    an (M, M) float array that may be u itself, and out is returned.
     """
     u = params.check(u)
     _require_inside_bound(u, 1.0, strict=True)
-    chem = np.arctanh(u)
+    linear = np.multiply(params.theta_c + params.kappa, u, out=work_array("field", u.shape))
+    chem = np.arctanh(u, out=out)
     chem *= params.theta
-    chem -= (params.theta_c + params.kappa) * u
+    chem -= linear
     return chem
 
 
@@ -199,7 +211,8 @@ def nonlinear_F(u: Array, params: ModelParams) -> Array:
 def _energy_root_weights_cached(M: int, L: float, epsilon: float, sigma: float) -> Array:
     # sqrt of (L^2/M^4)/2 (eps^2 (-d) + sigma/(-d)), the interface plus
     # nonlocal weight of each half-spectrum mode, 0 at the zero mode; the
-    # columns 1 .. ceil(M/2)-1 count twice, for their mirror images too
+    # columns 1 .. ceil(M/2)-1 count twice, for their mirror images too.
+    # Stored complex, as the step kernels are, so the multiply needs no cast
     minus_d = -_symbol_cached(M, L)[:, : M // 2 + 1]
     w = np.zeros_like(minus_d)
     np.divide(sigma, minus_d, out=w, where=minus_d > 0)
@@ -207,6 +220,7 @@ def _energy_root_weights_cached(M: int, L: float, epsilon: float, sigma: float) 
     w *= 0.5 * L**2 / M**4
     w[:, 1 : (M + 1) // 2] *= 2.0
     np.sqrt(w, out=w)
+    w = w.astype(complex)
     w.flags.writeable = False
     return w
 
@@ -238,10 +252,10 @@ def energy(u: Array, params: ModelParams) -> float:
     lo, hi = _require_inside_bound(u, 1.0, strict=False)
     inside = -1.0 < lo and hi < 1.0
 
-    # two work arrays of u's size, reused by both sides: at M=128, two
-    # arrays of twice that size were mapped and unmapped by malloc on every
-    # call, at about 100 page faults
-    side, logs = np.empty_like(u), np.empty_like(u)
+    # two work arrays of u's size, reused by both sides and by every call:
+    # at M=128, arrays of this size are mapped and unmapped by malloc when
+    # they are allocated per call, at about 100 page faults
+    side, logs = work_array("field", u.shape), work_array("logs", u.shape)
     entropy = 0.0
     for one_side in (np.add, np.subtract):
         one_side(1.0, u, out=side)
@@ -256,7 +270,8 @@ def energy(u: Array, params: ModelParams) -> float:
         0.5 * params.theta * entropy - 0.5 * params.theta_c * _sum_of_products(u, u)
     )
 
-    spectrum = np.fft.rfft2(u)
+    half = (params.M, params.M // 2 + 1)
+    spectrum = np.fft.rfft2(u, out=work_array("spectrum", half, complex))
     spectrum *= _energy_root_weights_cached(params.M, params.L, params.epsilon, params.sigma)
     parts = spectrum.view(float)
     return bulk + _sum_of_products(parts, parts)

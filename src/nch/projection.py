@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleMassError, NonFiniteFieldError, ProjectionConvergenceError
-from .grid import ModelParams
+from .grid import ModelParams, work_array
 
 Array = np.ndarray
 
@@ -49,7 +49,9 @@ class ProjectionResult:
     The four diagnostics are bitwise what u and lam give.  lam, the
     pointwise multiplier (u - s)/g'(u) = (|s| - bound)/(2 bound) on the
     clamped entries of s = utilde + xi and 0 elsewhere, is built on first
-    read.
+    read.  It is built from utilde, which in a step is one of the step
+    core's work arrays (and u of the midpoint projection is another): the
+    next step overwrites them, so read lam before it runs.
     """
 
     u: Array
@@ -67,7 +69,9 @@ class ProjectionResult:
         return np.maximum(np.abs(self.utilde + self.xi) - self.bound, 0.0) / (2.0 * self.bound)
 
 
-def project(utilde: Array, params: ModelParams, target_mass: float) -> ProjectionResult:
+def project(
+    utilde: Array, params: ModelParams, target_mass: float, out: Array | None = None
+) -> ProjectionResult:
     """Project utilde onto {sup|v| <= params.bound, <v, 1> = target_mass}.
 
     The result is the unique minimizer of the convex problem, at the root xi
@@ -87,16 +91,20 @@ def project(utilde: Array, params: ModelParams, target_mass: float) -> Projectio
     Raises ProjectionConvergenceError after PROJECTION_MAX_ITER iterations
     without an accepted iterate, NonFiniteFieldError, before any iteration,
     for a NaN or infinite entry of utilde or target mass, and
-    InfeasibleMassError for a target farther out.
+    InfeasibleMassError for a target farther out.  The projected field is
+    written to out when it is given, an (M, M) float array other than
+    utilde, which becomes the result's u; otherwise to a new array.
     """
     # Every residual evaluation writes s = utilde + xi and u = clamp(s) into
-    # the same two arrays; the last one is the result.  Rounding is
-    # monotone, so max s = fl(max utilde + xi), and the extremes of s give
-    # sup|u| and max lam without another pass over the field.
+    # the same two arrays, s a process-wide scratch; the last u is the
+    # result.  Rounding is monotone, so max s = fl(max utilde + xi), and the
+    # extremes of s give sup|u| and max lam without another pass over the
+    # field.
     bound, tol = params.bound, PROJECTION_TOL * params.area
     utilde = params.check(utilde)
     cell = params.h * params.h
-    shifted, u = np.empty_like(utilde), np.empty_like(utilde)
+    shifted = work_array("field", utilde.shape)
+    u = np.empty_like(utilde) if out is None else out
 
     def clamped_sum(xi: float) -> float:
         np.add(utilde, xi, out=shifted)

@@ -25,9 +25,16 @@ is reported as a `blowup` and halts the run instead of feeding complex
 logarithms downstream.
 
 The step core is built once per run and holds the model parameters (the
-mesh included: a ModelParams is a Grid) and the four kernels.  It calls the
-operators and the projection through this module's names, so whatever
-replaces those names sees every call.
+mesh included: a ModelParams is a Grid), the four kernels and the work
+arrays of a step.  It calls the operators and the projection through this
+module's names, so whatever replaces those names sees every call.  A step
+allocates one field-sized array, the new state's: every intermediate field
+is written into a work array through the out= of apply_phi,
+chemical_potential and project, the midpoint's chem and phi2 term over the
+midpoint itself.  What a step returns never aliases a work
+array: the last projection writes a new array, and an unprojected scheme's
+predictors, either of which can become the state at a blowup, are new
+arrays too.
 """
 
 from __future__ import annotations
@@ -141,33 +148,45 @@ class _StepCore:
         self.projected = scheme.startswith("p-")
         phi = build_phi_table(params)
         tau_d = params.tau * laplace_symbol(params)[:, : params.M // 2 + 1]
-        self.phi0 = phi.phi0.copy()
+        # complex with a zero imaginary part: the spectrum is multiplied
+        # without a cast, to bitwise the product with the real kernel
+        self.phi0 = phi.phi0.astype(complex)
         self.phi0[0, 0] = 1.0  # phi0(a) + a phi1(a) = 1 at a = tau sigma
         self.d_phi1, self.d_phi1m2, self.d_phi2 = (
-            tau_d * phi.phi1, tau_d * phi.phi1m2, tau_d * phi.phi2
+            (tau_d * p).astype(complex) for p in (phi.phi1, phi.phi1m2, phi.phi2)
         )
 
+        # the projected predictor and midpoint; unprojected ones are new
+        # arrays, since either can become the state at a blowup
+        shape = (params.M, params.M)
+        self.exp_u, self.c_n = np.empty(shape), np.empty(shape)
+        self.utilde = np.empty(shape) if self.projected else None
+        self.u_mid = np.empty(shape) if self.projected and self.order == 2 else None
+
     def linear_and_forcing(self, u: Array) -> tuple[Array, Array]:
-        """phi0(tau L) u and chem(u), shared by both stages of a step."""
-        c_n = chemical_potential(u, self.params)
-        return apply_phi(u, self.phi0), c_n
+        """phi0(tau L) u and chem(u), shared by both stages of a step; both
+        are work arrays of the core."""
+        c_n = chemical_potential(u, self.params, out=self.c_n)
+        return apply_phi(u, self.phi0, out=self.exp_u), c_n
 
     def predict(self, exp_u: Array, c_n: Array, c_mid: Array | None = None) -> Array:
-        """Order-1 prediction, or order 2 with c_mid = chem(u_mid) at the midpoint."""
+        """Order-1 prediction, or order 2 with c_mid = chem(u_mid) at the
+        midpoint, which the phi2 term overwrites.  The prediction is a work
+        array of the core for a projected scheme."""
         if c_mid is None:
-            out = apply_phi(c_n, self.d_phi1)
+            out = apply_phi(c_n, self.d_phi1, out=self.utilde)
         else:
-            out = apply_phi(c_n, self.d_phi1m2)
-            out += apply_phi(c_mid, self.d_phi2)
+            out = apply_phi(c_n, self.d_phi1m2, out=self.utilde)
+            out += apply_phi(c_mid, self.d_phi2, out=c_mid)
         out += exp_u
         return out
 
     def _correct(
-        self, utilde: Array, state: StepState
+        self, utilde: Array, state: StepState, out: Array | None = None
     ) -> tuple[Array, ProjectionResult | None]:
         if not self.projected:
             return utilde, None
-        result = project(utilde, self.params, state.initial_mass)
+        result = project(utilde, self.params, state.initial_mass, out=out)
         return result.u, result
 
     def step(self, state: StepState) -> tuple[StepState, StepDiagnostics]:
@@ -177,9 +196,10 @@ class _StepCore:
         diagnostics report the last projection's xi and lam.
         """
         exp_u, c_n = self.linear_and_forcing(state.u)
-        u, proj = self._correct(self.predict(exp_u, c_n), state)
+        u, proj = self._correct(self.predict(exp_u, c_n), state, out=self.u_mid)
         if self.order == 2 and (self.projected or self.params.norm_inf(u) < 1.0):
-            c_mid = chemical_potential(u, self.params)
+            # nothing reads the midpoint after its chem, which replaces it
+            c_mid = chemical_potential(u, self.params, out=u)
             u, proj = self._correct(self.predict(exp_u, c_n, c_mid), state)
         index = state.step_index + 1
         nxt = replace(state, u=u, t=index * self.params.tau, step_index=index)

@@ -88,6 +88,13 @@ class TestParse:
         with pytest.raises(ValueError, match="unknown initial kind 'bogus'"):
             InitialSpec("bogus", 0.1)
 
+    def test_initial_spec_round_trips_and_a_sine_takes_no_offset_or_seed(self):
+        for spec in (InitialSpec("sine", 0.125), InitialSpec("random", 0.05, offset=-0.3, seed=5)):
+            assert InitialSpec.parse(spec.render()) == spec
+        for extra in ({"offset": 0.3}, {"seed": 5}, {"offset": 0.3, "seed": 5}):
+            with pytest.raises(ValueError, match="sine takes no offset or seed"):
+                InitialSpec("sine", 0.1, **extra)
+
     def test_shipped_configs_parse(self):
         for name in ("convergence", "comparison", "coarsening", "sweep"):
             text = (REPO / "configs" / f"{name}.cfg").read_text()

@@ -142,6 +142,12 @@ class TestModelParams:
         with pytest.raises(ValueError, match="L must be finite, got inf"):
             ModelParams(L=math.inf)
 
+    @pytest.mark.parametrize("M", [2.5, 4.0, "8"])
+    def test_non_integer_mesh_count_rejected(self, M):
+        for make in (Grid, ModelParams):
+            with pytest.raises(ValueError, match=f"M={M!r}"):
+                make(M=M)
+
     def test_temperature_ordering_enforced(self):
         with pytest.raises(ValueError, match="theta"):
             ModelParams(theta=0.8, theta_c=0.5)

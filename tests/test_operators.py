@@ -172,7 +172,8 @@ class TestPhiTable:
 
 
 def count_transforms(monkeypatch):
-    """Count the calls of numpy's 2-D and n-D transforms by name, from now on."""
+    """Count the calls of numpy's 2-D and n-D transforms by name, from now on:
+    every entry point the benchmark's transform counter sees."""
     calls = {}
 
     def counted(name):
@@ -184,7 +185,7 @@ def count_transforms(monkeypatch):
 
         return wrapper
 
-    for name in ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2"):
+    for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, counted(name))
     return calls
 
@@ -207,6 +208,20 @@ class TestApplyPhi:
         assert out.shape == (M, M)
         assert np.max(np.abs(out - reference)) <= 1e-14 * np.max(np.abs(v))
 
+    @pytest.mark.parametrize("M", [1, 3, 16, 33])
+    def test_out_and_complex_columns_give_bitwise_the_allocating_call(self, M):
+        rng = np.random.default_rng(M)
+        v = rng.uniform(-1.0, 1.0, (M, M))
+        column = symmetric_table(rng, M)[:, : M // 2 + 1]
+        reference = apply_phi(v, column)
+        out = np.empty((M, M))
+        assert apply_phi(v, column, out=out) is out
+        assert out.tobytes() == reference.tobytes()
+        assert apply_phi(v, column.astype(complex)).tobytes() == reference.tobytes()
+        in_place = v.copy()
+        assert apply_phi(in_place, column, out=in_place) is in_place
+        assert in_place.tobytes() == reference.tobytes()
+
     @pytest.mark.parametrize("M", [1, 2, 7, 16])
     def test_phi_table_holds_the_half_spectrum(self, M):
         params = ModelParams(M=M, tau=1e-3)
@@ -221,7 +236,7 @@ class TestApplyPhi:
         params = ModelParams(M=16, tau=0.1)
         u0 = random_initial(params.grid(), 0.2, 0.05, 1)
         advance(u0, params, "p-etdrk2", 1)
-        assert calls == {"rfft2": 4, "irfft2": 4}
+        assert calls == {"rfft2": 4, "irfftn": 4}
 
     def test_identity_table(self):
         rng = np.random.default_rng(3)
@@ -284,6 +299,15 @@ class TestNonlinearF:
         u[3, 5] = -1.2
         with pytest.raises(BoundViolationError, match="-1.2"):
             nonlinear_F(u, params)
+
+
+@pytest.mark.parametrize("M", [1, 3, 16, 33])
+def test_chemical_potential_out_is_bitwise_the_allocating_call(M):
+    params = ModelParams(M=M)
+    u = 0.9 * np.random.default_rng(M).uniform(-1.0, 1.0, (M, M))
+    out = np.empty((M, M))
+    assert chemical_potential(u, params, out=out) is out
+    assert out.tobytes() == chemical_potential(u, params).tobytes()
 
 
 class TestEnergy:

@@ -241,6 +241,18 @@ def test_multiplier_is_bitwise_the_oracle_clamp(M, case):
         assert result.lam.tobytes() == lam.tobytes()
 
 
+@pytest.mark.parametrize("M", [1, 3, 16, 33])
+@pytest.mark.parametrize("case", PREDICTED_CASES)
+def test_out_is_bitwise_the_allocating_call(M, case):
+    params = ModelParams(M=M, delta=DELTA)
+    utilde = predicted_field(case, M, BOUND)
+    out = np.empty((M, M))
+    for target in (params.mass(utilde), 0.3 * params.area):
+        result = project(utilde, params, target, out=out)
+        assert result.u is out
+        assert out.tobytes() == project(utilde, params, target).u.tobytes()
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_saturated_target_returns_the_constant_field(sign):
     # at +-L^2 bound, or within the tolerance above it, the one admissible

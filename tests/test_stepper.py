@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,36 @@ def test_steps_take_the_laplacian_from_the_kernels(monkeypatch, scheme):
     u0 = random_initial(params.grid(), 0.2, 0.05, seed=5)
     _, _, status = advance(u0, params, scheme, 3, collect=True)
     assert status == "ok"
+
+
+@pytest.mark.parametrize("scheme", ["p-etd1", "p-etdrk2"])
+def test_a_projected_step_allocates_only_the_new_state(scheme):
+    # every other field of the step lives in the core's work arrays; the
+    # peak is the new state, or numpy's half-spectrum temporary in irfftn,
+    # plus small objects (9.15 and 5.13 fields when every operator
+    # returned a new array)
+    params = ModelParams(M=64, tau=0.1)
+    core = _StepCore(params, scheme)
+    state, _ = core.step(new_state(random_initial(params, 0.2, 0.05, 3), params))
+    tracemalloc.start()
+    try:
+        state, _ = core.step(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * state.u.nbytes
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_states_handed_to_on_step_keep_their_values(scheme):
+    # no state aliases a work array that a later step writes
+    params = ModelParams(M=16, tau=1e-3)
+    u0 = random_initial(params, 0.2, 0.05, 5)
+    seen = []
+    _, _, status = advance(u0, params, scheme, 5, on_step=lambda s, d: seen.append(s.u))
+    assert status == "ok" and len(seen) == 6
+    for k, u in enumerate(seen):
+        assert u.tobytes() == advance(u0, params, scheme, k)[0].u.tobytes()
 
 
 class TestProjectedSteps:
