@@ -5,8 +5,11 @@ Each experiment takes the run's SimulationConfig and reads the model
 parameters, `scheme`, `T_final` and `initial` from it (the sweep also
 `structure_threshold`); a study needs a sine(...) initial, a sweep random(...).
 
-Runs within a sweep are independent; NCH_THREADS > 1 distributes them over a
-process pool, otherwise they execute inline in order.
+The runs of a study or a sweep are independent.  With NCH_THREADS > 1 a
+sweep distributes them over a process pool, and a study makes its first run
+(the reference, when it makes one) in the calling process while one forked
+child makes the others; otherwise they execute inline in order.  Either way
+the results and the error raised are those of the inline order.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -104,18 +110,28 @@ def check_step_sizes(tau_list: list[float], benchmark_tau: float, T_final: float
         step_count(T_final, tau)
 
 
+def _benchmark(config: SimulationConfig, benchmark_tau: float) -> SimulationConfig:
+    return replace(config, scheme=BENCHMARK_SCHEME, tau=benchmark_tau)
+
+
+def _final_field(config: SimulationConfig) -> Array:
+    return _final_state(config, f"tau={config.tau:g}").u
+
+
 def reference_field(config: SimulationConfig, benchmark_tau: float) -> Array:
     """The fine-step benchmark solution of a convergence study: the field of
     a BENCHMARK_SCHEME run at benchmark_tau from config.initial, which must
     be sine(amplitude), to config.T_final.  config.scheme and config.tau are
     not read."""
     _require_initial(config, "sine(amplitude)", "converge")
-    benchmark = replace(config, scheme=BENCHMARK_SCHEME, tau=benchmark_tau)
-    return _final_state(benchmark, f"tau={benchmark_tau:g}").u
+    return _final_field(_benchmark(config, benchmark_tau))
 
 
 def convergence_study(
-    config: SimulationConfig, tau_list: list[float], benchmark_tau: float, reference: Array
+    config: SimulationConfig,
+    tau_list: list[float],
+    benchmark_tau: float,
+    reference: Array | None = None,
 ) -> ConvergenceReport:
     """Temporal convergence of config.scheme against a fine-step benchmark.
 
@@ -123,14 +139,29 @@ def convergence_study(
     sine(amplitude), to config.T_final on the same mesh, so the reported
     errors are purely temporal; config.tau is not read.  reference is the
     reference_field of the same config and benchmark_tau, which any number
-    of schemes can share.
+    of schemes can share; without one the study makes it, as its first run.
+
+    The step sizes are checked before any run.  With NCH_THREADS > 1 (and
+    no other thread in this process, which a fork could leave holding a
+    lock) the first run is made here while one forked child makes the
+    others; the report, and the error raised when a run fails, are those
+    of making the runs in order here: the reference's first, then the
+    first failing step size's.
     """
     _require_initial(config, "sine(amplitude)", "converge")
     check_step_sizes(tau_list, benchmark_tau, config.T_final)
+    runs = [replace(config, tau=tau) for tau in tau_list]
+    if reference is None:
+        runs.insert(0, _benchmark(config, benchmark_tau))
+    if thread_budget() > 1 and len(runs) > 1 and threading.active_count() == 1:
+        fields = _overlapped(runs)
+    else:
+        fields = [_final_field(run) for run in runs]
+    if reference is None:
+        reference, *fields = fields
     rows: list[ConvergenceRow] = []
     previous_error = None
-    for tau in tau_list:
-        u = _final_state(replace(config, tau=tau), f"tau={tau:g}").u
+    for tau, u in zip(tau_list, fields):
         error = config.norm2(u - reference)
         rate = None
         if previous_error is not None and error > 0:
@@ -144,6 +175,68 @@ def convergence_study(
         M=config.M,
         T_final=config.T_final,
     )
+
+
+def _overlapped(runs: list[SimulationConfig]) -> list[Array]:
+    """The final field of every run: the first made here while one forked
+    child makes the others and sends back their outcomes, pickled, through
+    a pipe.  Raises what making the runs in order here would raise, or
+    ChildProcessError when the child ends without sending its outcomes.
+    The child is reaped before this returns or raises."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # the child: never returns into the caller, and leaves the caller's
+        # buffered output and exit handlers to the parent
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(_outcomes(runs[1:]), pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            first = _final_field(runs[0])
+            message = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)  # the first run's error wins over any of the child's
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        names = ", ".join(f"{run.scheme} at tau={run.tau:g}" for run in runs[1:])
+        ended = f"signal {-code}" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(
+            f"the process running {names} ended with {ended} before sending its results"
+        )
+    outcomes = [first, *pickle.loads(message)]
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def _outcomes(runs: list[SimulationConfig]) -> list[Array | Exception]:
+    """The final field of each run in order, up to the first run that
+    raises, whose exception ends the list: the later runs could not change
+    what the study raises."""
+    outcomes: list[Array | Exception] = []
+    for run in runs:
+        try:
+            outcomes.append(_final_field(run))
+        except Exception as exc:  # sent to the parent, which raises it
+            outcomes.append(exc)
+            break
+    return outcomes
 
 
 def format_convergence_table(report: ConvergenceReport) -> str:

@@ -32,7 +32,8 @@ COMMANDS = (
     ("run", ["run", str(CONFIGS / "comparison.cfg")], None),
     ("sweep-threads1", SWEEP, "1"),
     ("sweep-threads2", SWEEP, "2"),
-    ("converge", CONVERGE, None),
+    ("converge-threads1", CONVERGE, "1"),
+    ("converge-threads2", CONVERGE, "2"),
 )
 
 

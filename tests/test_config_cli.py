@@ -426,7 +426,9 @@ class TestCli:
         assert [scheme for scheme, _, _ in calls] == ["p-etd1", "p-etd1"]
 
     def test_converge_takes_its_amplitude_from_the_initial_sine(self, tmp_path, monkeypatch):
-        # at M = 8 the mesh holds the crest of the sine, so max u0 = amplitude
+        # at M = 8 the mesh holds the crest of the sine, so max u0 = amplitude;
+        # inline, so that every run is recorded in this process
+        monkeypatch.setenv("NCH_THREADS", "1")
         calls = []
         self._record_advance(monkeypatch, calls)
         cfg = tmp_path / "c.cfg"
@@ -473,13 +475,21 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_nch_threads_is_named(self, tmp_path, capsys, monkeypatch):
+        # refused before any run, and nothing is written
         monkeypatch.setenv("NCH_THREADS", "abc")
-        args = ["--M=8", "--sigma-list=5,20", "--tau=0.1", "--T_final=0.5",
-                "--initial=random(0.3, 0.05, 0)", f"--out={tmp_path}"]
-        assert main(["sweep", *args]) == 2
-        assert capsys.readouterr().err == (
-            "nch: config error: NCH_THREADS must be a positive integer, got 'abc'\n"
-        )
+        calls = []
+        self._record_advance(monkeypatch, calls)
+        for command in (
+            ["sweep", "--sigma-list=5,20", "--tau=0.1", "--T_final=0.5",
+             "--initial=random(0.3, 0.05, 0)"],
+            ["converge", "--tau-list=2e-3,1e-3", "--benchmark-tau=5e-4", "--T_final=0.01"],
+        ):
+            assert main([*command, "--M=8", f"--out={tmp_path}"]) == 2
+            assert capsys.readouterr().err == (
+                "nch: config error: NCH_THREADS must be a positive integer, got 'abc'\n"
+            )
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_tolerance_scales_with_the_area(self, tmp_path):
         # an absolute 1e-13 cannot be met at L = 100, where the mass is

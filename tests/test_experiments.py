@@ -1,5 +1,9 @@
 import concurrent.futures
+import contextlib
+import os
 import re
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from nch import (
     projection,
 )
 from nch.config import InitialSpec
-from nch.errors import ProjectionConvergenceError
+from nch.errors import BlowupError, ProjectionConvergenceError
 from nch.experiments import (
     format_convergence_table,
     minority_structure_count,
@@ -178,6 +182,177 @@ class TestConvergenceStudy:
         lines = path.read_text().splitlines()
         assert lines[0] == "tau,l2_error,rate"
         assert len(lines) == 3
+
+
+def study_config():
+    """A p-etdrk2 study at M=16 from sine(0.1) to T=2e-3."""
+    return SimulationConfig(
+        epsilon=0.02, theta=0.8, theta_c=1.6, kappa=1.0, sigma=30.0, M=16,
+        scheme="p-etdrk2", T_final=2e-3, initial=InitialSpec("sine", 0.1),
+    )
+
+
+STUDY_TAUS = [4e-4, 2e-4, 1e-4]
+STUDY_BENCHMARK_TAU = 5e-5
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this process if the block runs past seconds,
+    so a wait on a child that never ends fails the test instead of hanging
+    it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestOverlappedStudy:
+    """With NCH_THREADS > 1 a study makes its first run in this process and
+    the others in one forked child; reports and errors must be those of the
+    inline order, and the child must be gone when the study returns."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children os.fork makes during the test."""
+        pids = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    @staticmethod
+    def assert_reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @staticmethod
+    def fail_at(monkeypatch, failures):
+        """Make the run at each tau in failures end as named: "solver" raises
+        a ProjectionConvergenceError, "blowup" ends with status blowup, "bug"
+        raises a ZeroDivisionError and "unpicklable" an exception that cannot
+        be pickled; "kill" kills the process, which must be the child."""
+        real_advance = experiments.advance
+        parent = os.getpid()
+
+        class Unpicklable(Exception):
+            pass
+
+        def advance(u0, params, scheme, n_steps):
+            kind = failures.get(params.tau)
+            if kind == "solver":
+                raise ProjectionConvergenceError("no root", residual=params.tau)
+            if kind == "bug":
+                raise ZeroDivisionError(f"not a solver error at {params.tau:g}")
+            if kind == "unpicklable":
+                raise Unpicklable("defined inside a function")
+            if kind == "kill":
+                assert os.getpid() != parent, "only the child may be killed"
+                os.kill(os.getpid(), signal.SIGKILL)
+            state, diagnostics, status = real_advance(u0, params, scheme, n_steps)
+            return state, diagnostics, "blowup" if kind == "blowup" else status
+
+        monkeypatch.setattr(experiments, "advance", advance)
+
+    @pytest.mark.parametrize("passed", [False, True], ids=["own-reference", "passed-reference"])
+    def test_thread_counts_give_equal_reports(self, monkeypatch, forks, passed):
+        config = study_config()
+        reference = reference_field(config, STUDY_BENCHMARK_TAU) if passed else None
+        reports = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NCH_THREADS", threads)
+            reports[threads] = convergence_study(
+                config, STUDY_TAUS, STUDY_BENCHMARK_TAU, reference
+            )
+            assert len(forks) == int(threads) - 1
+        assert reports["1"] == reports["2"]
+        assert [r.tau for r in reports["2"].rows] == STUDY_TAUS
+        if passed:
+            # the study's own reference is the same field
+            assert reports["2"] == convergence_study(config, STUDY_TAUS, STUDY_BENCHMARK_TAU)
+        self.assert_reaped(forks)
+
+    @pytest.mark.parametrize(
+        "passed, failures, error, message",
+        [
+            # the reference (here) wins over a step size (in the child)
+            (False, {5e-5: "blowup", 2e-4: "solver"}, BlowupError, "tau=5e-05"),
+            # otherwise the first failing step size, both in the child
+            (False, {2e-4: "blowup", 1e-4: "solver"}, BlowupError, "tau=0.0002"),
+            (False, {1e-4: "solver"}, ProjectionConvergenceError, "tau=0.0001"),
+            # with a passed reference the first step size is made here
+            (True, {4e-4: "solver", 2e-4: "blowup"}, ProjectionConvergenceError, "tau=0.0004"),
+            (True, {2e-4: "solver", 1e-4: "blowup"}, ProjectionConvergenceError, "tau=0.0002"),
+        ],
+    )
+    def test_the_inline_order_picks_the_error(
+        self, monkeypatch, forks, passed, failures, error, message
+    ):
+        config = study_config()
+        reference = reference_field(config, STUDY_BENCHMARK_TAU) if passed else None
+        self.fail_at(monkeypatch, failures)
+        raised = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NCH_THREADS", threads)
+            with pytest.raises(error, match=re.escape(message)) as info:
+                convergence_study(config, STUDY_TAUS, STUDY_BENCHMARK_TAU, reference)
+            exc = info.value
+            raised[threads] = (type(exc), str(exc), getattr(exc, "residual", None))
+        assert raised["1"] == raised["2"]
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+
+    @pytest.mark.parametrize("kind, ended", [("kill", "signal 9"), ("unpicklable", "exit code 1")])
+    def test_a_child_that_sends_nothing_is_named(self, monkeypatch, forks, kind, ended):
+        monkeypatch.setenv("NCH_THREADS", "2")
+        self.fail_at(monkeypatch, {2e-4: kind})
+        names = "p-etdrk2 at tau=0.0004, p-etdrk2 at tau=0.0002, p-etdrk2 at tau=0.0001"
+        with deadline(60), pytest.raises(ChildProcessError) as info:
+            convergence_study(study_config(), STUDY_TAUS, STUDY_BENCHMARK_TAU)
+        assert str(info.value) == (
+            f"the process running {names} ended with {ended} before sending its results"
+        )
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+
+    def test_a_non_solver_error_in_the_child_reaches_the_parent(self, monkeypatch, forks):
+        pid = os.getpid()
+        self.fail_at(monkeypatch, {2e-4: "bug"})
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NCH_THREADS", threads)
+            with pytest.raises(ZeroDivisionError, match="^not a solver error at 0.0002$"):
+                convergence_study(study_config(), STUDY_TAUS, STUDY_BENCHMARK_TAU)
+            assert os.getpid() == pid
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+
+    def test_a_process_with_other_threads_does_not_fork(self, monkeypatch, forks):
+        monkeypatch.setenv("NCH_THREADS", "2")
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            report = convergence_study(study_config(), STUDY_TAUS, STUDY_BENCHMARK_TAU)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+        assert len(report.rows) == len(STUDY_TAUS)
 
 
 class TestSlopeFit:

@@ -46,6 +46,8 @@ CONVERGE = ["converge", "--M=16", "--T_final=0.02", "--tau-list=2e-3,1e-3", "--b
         ("1", CONVERGE, 3, 40 + 10 + 20),
         ("1", SWEEP, 2, 2 * 5),
         ("2", SWEEP, 2, 2 * 5),
+        # the forked child's step-size runs are stamped too
+        ("2", CONVERGE, 3, 40 + 10 + 20),
     ],
 )
 def test_step_clock_counts_every_cli_step(tmp_path, threads, args, runs, steps):
